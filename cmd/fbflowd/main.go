@@ -1,6 +1,6 @@
 // Command fbflowd is the distributed form of the fleet collection
 // pipeline: one aggregator process merging length-prefixed binary
-// partial frames from N shard agents — the reproduction of Fbflow's
+// CELL frames from N shard agents — the reproduction of Fbflow's
 // agents → Scribe → aggregation tier shape (§3.3.1), scaled down to
 // processes and sockets.
 //

@@ -149,8 +149,8 @@ func AuditBisectCell(cfg Config, window, shard, workers int) (AuditBisectResult,
 		if err != nil {
 			return audit.Checkpoint{}, 0, err
 		}
-		if shard < 0 || shard >= sys.fleetShardsPerWindow() {
-			return audit.Checkpoint{}, 0, fmt.Errorf("core: shard %d outside grid of %d shards/window", shard, sys.fleetShardsPerWindow())
+		if shard < 0 || shard >= sys.fleetGrid().spw {
+			return audit.Checkpoint{}, 0, fmt.Errorf("core: shard %d outside grid of %d shards/window", shard, sys.fleetGrid().spw)
 		}
 		sys.FleetDataset()
 		for _, cp := range c.Audit.Checkpoints() {

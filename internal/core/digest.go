@@ -143,7 +143,7 @@ func (s *System) FleetDigest() *FleetDigest {
 	}
 	if len(s.fleetGaps) > 0 {
 		cov := &CoverageDigest{
-			TotalCells: s.fleetShardsPerWindow() * s.Cfg.FleetWindows,
+			TotalCells: s.fleetGrid().spw * s.Cfg.FleetWindows,
 			Gaps:       s.fleetGaps,
 		}
 		for _, g := range cov.Gaps {

@@ -6,11 +6,7 @@ import (
 	"io"
 	"math"
 	"net"
-	"os"
-	"os/exec"
-	"path/filepath"
 	"sort"
-	"strconv"
 	"strings"
 	"sync"
 	"time"
@@ -19,25 +15,23 @@ import (
 	"fbdcnet/internal/fbwire"
 	"fbdcnet/internal/obs"
 	"fbdcnet/internal/obs/audit"
-	"fbdcnet/internal/rng"
-	"fbdcnet/internal/services"
 )
 
 // Distributed fleet collection: the production shape of the paper's
 // Fbflow pipeline. N agent processes each own a contiguous range of the
 // (window × shard) task grid's shard axis, run sampling and partial
-// accumulation locally, and stream binary partial frames to one
+// accumulation locally, and stream one CELL frame per cell to one
 // aggregator that merges them at the global task-order frontier.
 //
 // The determinism contract is the same as the in-process engine's:
 // every (window, shard) cell draws from an rng stream keyed by its own
-// coordinates, and partials merge in global task order — window-major,
-// shard within window — so the aggregated dataset is bit-identical to
-// the single-process run at any agent count. Agents overlap comms with
-// compute by double-buffering partials (window W+1 accumulates while W
-// encodes and sends), and the aggregator merges frames as they arrive
-// rather than barriering per window, parking out-of-order cells exactly
-// like collectFleet parks out-of-order workers.
+// coordinates, and cells merge through the same frontier in global task
+// order — window-major, shard within window — so the aggregated dataset
+// is bit-identical to the single-process run at any agent count. Agents
+// overlap comms with compute by double-buffering cells (window W+1
+// accumulates while W encodes and sends), and the aggregator parks
+// cells as they arrive rather than barriering per window, exactly like
+// collectFleet parks out-of-order workers.
 
 // AgentCrashExitCode is the exit status of an agent that dies at its
 // planned crash point. The spawner restarts exactly this status with an
@@ -58,23 +52,12 @@ type ShardRange struct {
 // Span returns the number of shards the range owns.
 func (r ShardRange) Span() int { return r.Hi - r.Lo }
 
-// fleetShardsPerWindow returns the shard-axis width of the task grid —
-// a pure function of topology size and collection mode, never of the
-// agent or worker count.
-func (s *System) fleetShardsPerWindow() int {
-	n, width := s.Topo.NumHosts(), fleetShardHosts
-	if s.Cfg.FleetMatrix {
-		n, width = len(s.Topo.Racks), fleetMatrixShardRacks
-	}
-	return (n + width - 1) / width
-}
-
 // FleetShardMap splits the shard axis into one contiguous range per
 // agent. Trailing agents may own empty ranges when there are more
 // agents than shards; they still handshake and FIN so the aggregator's
 // accounting stays uniform.
 func (s *System) FleetShardMap(agents int) []ShardRange {
-	spw := s.fleetShardsPerWindow()
+	spw := s.fleetGrid().spw
 	m := make([]ShardRange, agents)
 	for a := 0; a < agents; a++ {
 		m[a] = ShardRange{Lo: a * spw / agents, Hi: (a + 1) * spw / agents}
@@ -105,7 +88,7 @@ func (s *System) fleetConfigCheck() uint64 {
 	mix(uint64(s.Cfg.FleetSamples))
 	mix(b2u(s.Cfg.FleetMatrix))
 	mix(b2u(s.Cfg.SketchMode))
-	mix(uint64(s.fleetShardsPerWindow()))
+	mix(uint64(s.fleetGrid().spw))
 	return h
 }
 
@@ -126,7 +109,7 @@ func agentTask(rg ShardRange, t uint64) (window, shard int) {
 //
 // Compute and comms overlap: a sender goroutine owns the socket while
 // the main loop accumulates the next cell into a second (and third)
-// pooled partial, so the steady state keeps both the CPU and the wire
+// pooled envelope, so the steady state keeps both the CPU and the wire
 // busy without any per-window barrier.
 func (s *System) RunFleetAgent(agentID, agents int, incarnation uint32, conn io.ReadWriter, crashAfter int64) error {
 	if agentID < 0 || agentID >= agents {
@@ -178,74 +161,32 @@ func (s *System) RunFleetAgent(agentID, agents int, incarnation uint32, conn io.
 	}
 	defer endSpan()
 
-	tagger := fbflow.NewTagger(s.Topo)
-	var prog *services.FleetProgram
-	var mprog *services.MatrixProgram
-	var mat *services.DemandMatrix
-	if s.Cfg.FleetMatrix {
-		mprog = services.NewMatrixProgram(s.Pick, s.Cfg.Params)
-		mat = services.NewDemandMatrix()
-	} else {
-		prog = services.NewFleetProgram(s.Pick, s.Cfg.Params)
-	}
-
-	// Double buffer: the main loop computes into one partial while the
-	// sender encodes and flushes the previous one. A third partial in the
-	// free pool absorbs the jitter between the two.
-	newPartial := func() *fbflow.Partial {
-		p := fbflow.NewPartial()
-		if s.Cfg.SketchMode {
-			p.EnableCardinality()
-		}
-		return p
-	}
-	// Each pooled buffer pairs a partial with the cell's encoded obs
-	// delta. The delta frame travels ahead of its partial on the same
-	// connection, so by the time the aggregator's frontier consumes the
-	// cell its metrics are already parked beside it.
-	type cellBuf struct {
-		p   *fbflow.Partial
-		obs []byte
-		// Parked audit checkpoints for this cell, already appended to the
-		// agent's local ledger; they precede the PARTIAL on the wire so
-		// the aggregator has parked them by the time its frontier merges
-		// the cell. Best-effort like the obs delta.
-		audF, audM       fbwire.AuditCell
-		hasAudF, hasAudM bool
-	}
-	type job struct {
-		seq uint64
-		b   *cellBuf
-	}
+	// Double buffer: the main loop computes into one envelope while the
+	// sender encodes and flushes the previous one as a CELL frame. A
+	// third envelope in the free pool absorbs the jitter between the two.
+	grid := s.fleetGrid()
+	scratch := s.newCellScratch(fbflow.NewTagger(s.Topo), 1)
 	aud := s.Cfg.Audit
 	bb := aud.BB()
-	free := make(chan *cellBuf, 3)
-	free <- &cellBuf{p: newPartial()}
-	free <- &cellBuf{p: newPartial()}
-	free <- &cellBuf{p: newPartial()}
+	type job struct {
+		seq uint64
+		c   *fleetCell
+	}
+	free := make(chan *fleetCell, 3)
+	for i := 0; i < cap(free); i++ {
+		free <- s.newFleetCell()
+	}
 	jobs := make(chan job, 1)
 	sendRes := make(chan error, 1)
 	go func() {
+		var cps [fbwire.MaxCheckpoints]fbwire.Checkpoint
 		for j := range jobs {
 			window, shard := agentTask(rg, j.seq)
-			var err error
-			if j.b.hasAudM {
-				err = w.WriteAudit(j.b.audM)
-				bb.Record(audit.EvFrameTx, "audit-matrix", fbwire.TypeAudit, int64(j.seq))
-			}
-			if err == nil && j.b.hasAudF {
-				err = w.WriteAudit(j.b.audF)
-				bb.Record(audit.EvFrameTx, "audit-fleet", fbwire.TypeAudit, int64(j.seq))
-			}
-			if err == nil && len(j.b.obs) > 0 {
-				err = w.WriteObs(fbwire.ObsCell, j.seq, j.b.obs)
-			}
-			if err == nil {
-				err = w.WritePartial(fbwire.PartialHeader{Seq: j.seq, Window: uint32(window), Shard: uint32(shard)}, j.b.p)
-				bb.Record(audit.EvFrameTx, "partial", fbwire.TypePartial, int64(j.seq))
-			}
-			j.b.p.Reset()
-			free <- j.b
+			err := w.WriteCell(fbwire.PartialHeader{Seq: j.seq, Window: uint32(window), Shard: uint32(shard)},
+				j.c.p, j.c.delta, j.c.aud.wire(cps[:0]))
+			bb.Record(audit.EvFrameTx, "cell", fbwire.TypeCell, int64(j.seq))
+			j.c.p.Reset()
+			free <- j.c
 			if err != nil {
 				sendRes <- err
 				return
@@ -258,77 +199,41 @@ func (s *System) RunFleetAgent(agentID, agents int, incarnation uint32, conn io.
 		sendRes <- nil
 	}()
 
-	drain := func(err error) error {
-		close(jobs)
-		if serr := <-sendRes; err == nil {
-			err = serr
-		}
-		return err
-	}
-	sh := reg.NewShard()
 	for t := resume; t < expected; t++ {
-		var b *cellBuf
+		var c *fleetCell
 		select {
-		case b = <-free:
+		case c = <-free:
 		case serr := <-sendRes:
 			// The sender died (socket error or planned crash): stop
 			// computing and surface its verdict.
 			close(jobs)
 			return serr
 		}
-		var t0 time.Time
-		if reg.Enabled() {
-			t0 = time.Now()
-		}
 		window, shard := agentTask(rg, t)
-		task := fleetTask{window: window, shard: shard, lo: shard * fleetShardHosts, hi: min((shard+1)*fleetShardHosts, s.Topo.NumHosts())}
-		var fh, mh *audit.Hash
-		var fhv, mhv audit.Hash
-		if aud.Enabled() {
-			fh = &fhv
-			if s.Cfg.FleetMatrix {
-				mh = &mhv
-			}
-		}
+		c.aud = s.computeCell(&scratch[0], grid.task(window*grid.spw+shard), c.p, c.sh)
+		// The agent keeps a ledger of its own; the aggregator's, fed from
+		// the audit sections, is the authoritative one.
 		if s.Cfg.FleetMatrix {
-			task.lo = shard * fleetMatrixShardRacks
-			task.hi = min(task.lo+fleetMatrixShardRacks, len(s.Topo.Racks))
-			s.collectMatrixShard(tagger, mprog, task, mat, b.p, sh, fh, mh)
-		} else {
-			s.collectShard(tagger, prog, task, b.p, sh, fh)
+			aud.Append(c.aud.synth)
 		}
-		b.hasAudF, b.hasAudM = false, false
-		if aud.Enabled() {
-			// Append to the agent's local ledger and forward exactly what
-			// was logged (any planted perturbation belongs to the
-			// aggregator, which owns the authoritative ledger).
-			if mh != nil {
-				cp, _ := aud.Cell(audit.StageMatrixSynth, window, shard, mh)
-				b.audM = fbwire.AuditCell{Stage: fbwire.AuditMatrixSynth, Seq: t, Window: uint32(window), Shard: uint32(shard), Sum: cp.Sum, Count: cp.Count}
-				b.hasAudM = true
-			}
-			cp, _ := aud.Cell(audit.StageFleetCollect, window, shard, fh)
-			b.audF = fbwire.AuditCell{Stage: fbwire.AuditFleetCell, Seq: t, Window: uint32(window), Shard: uint32(shard), Sum: cp.Sum, Count: cp.Count}
-			b.hasAudF = true
-		}
-		if reg.Enabled() {
-			sh.Observe(s.obsIDs.fleetShardUs, time.Since(t0).Microseconds())
-		}
+		aud.Append(c.aud.fleet)
 		// Encode the cell's delta before Fold resets the shard; the fold
 		// keeps the agent's own registry live for its -metrics-addr
 		// endpoint (a separate process, so nothing double-counts).
-		b.obs = sh.AppendDelta(b.obs[:0])
-		sh.Fold()
+		c.delta = c.sh.AppendDelta(c.delta[:0])
+		c.sh.Fold()
 		select {
-		case jobs <- job{seq: t, b: b}:
+		case jobs <- job{seq: t, c: c}:
 		case serr := <-sendRes:
 			return serr
 		}
 	}
-	if err := drain(nil); err != nil {
+	close(jobs)
+	if err := <-sendRes; err != nil {
 		return err
 	}
 	endSpan()
+	var report []byte
 	if reg.Enabled() {
 		reg.SetGauge(fmt.Sprintf("fbdcnet_agent_%d_tx_bytes", agentID), float64(w.BytesWritten()))
 		if aud.Enabled() {
@@ -336,11 +241,9 @@ func (s *System) RunFleetAgent(agentID, agents int, incarnation uint32, conn io.
 			// per-agent manifest section shows each process's ring.
 			reg.SetGauge("fbdcnet_blackbox_events", float64(bb.Total()))
 		}
-		if err := w.WriteObs(fbwire.ObsFinal, 0, reg.AppendReport(nil, uint32(agentID), incarnation)); err != nil {
-			return fmt.Errorf("core: agent %d obs report: %w", agentID, err)
-		}
+		report = reg.AppendReport(nil, uint32(agentID), incarnation)
 	}
-	if err := w.WriteFin(expected - resume); err != nil {
+	if err := w.WriteFin(expected-resume, report); err != nil {
 		return fmt.Errorf("core: agent %d fin: %w", agentID, err)
 	}
 	return nil
@@ -359,22 +262,17 @@ type CoverageGap struct {
 	Cells   int `json:"cells"`
 }
 
-// fleetAggregator is the shared state of one aggregation run.
+// fleetAggregator is the shared state of one aggregation run. Every
+// field, the frontier included, is guarded by mu.
 type fleetAggregator struct {
 	s      *System
 	agents int
 	shards []ShardRange
 	spw    int
-	cells  int
 
 	mu        sync.Mutex
 	cond      *sync.Cond
-	parked    []*fbflow.Partial
-	gapped    []bool
-	merged    []bool
-	next      int
-	ds        *fbflow.Dataset
-	pool      sync.Pool
+	front     *frontier
 	received  []uint64 // agent-task credit, gapped cells included
 	expected  []uint64
 	fin       []bool
@@ -384,38 +282,21 @@ type fleetAggregator struct {
 	gaps      []CoverageGap
 	err       error
 
-	// Federated observability. Cell deltas park beside their partials and
-	// fold only when the frontier consumes the cell; reports are
-	// per-process ephemera kept for the manifest and the exported
-	// timeline. All of it is best-effort: an undecodable obs payload is
-	// dropped and counted, never allowed to fail the dataset protocol.
-	parkedObs  [][]byte           // per-cell encoded delta awaiting its merge
-	obsFree    [][]byte           // recycled delta buffers
-	scratch    obs.Delta          // decode scratch, reused at the frontier
+	// Federated observability. Obs and audit sections ride each CELL
+	// frame and park with the cell; reports ride FIN and are per-process
+	// ephemera kept for the manifest and the exported timeline. All of it
+	// is best-effort: a section the aggregator cannot decode is dropped
+	// and counted, never allowed to fail the dataset protocol.
 	reports    []*obs.AgentReport // latest incarnation's report per agent
 	obsDrops   int64
+	audDrops   int64
 	agentLabel []string // preformatted agent-id labels for series names
 	stallCell  int      // frontier cell an open stall span is blaming, -1 if none
 	stallStart time.Time
-
-	// Checkpoint side-channel (nil when auditing is off): agent AUDIT
-	// frames park per cell like obs deltas and append to the
-	// authoritative ledger exactly when the frontier consumes the cell.
-	// A merged cell whose audit frame never arrived becomes a ledger
-	// hole — a hole means "no trusted hash", never "hash of nothing".
-	parkedAud []auditSlot
-	audDrops  int64
-}
-
-// auditSlot parks up to two checkpoints for one cell: the fleet-collect
-// record hash and, in matrix mode, the matrix-synth hash.
-type auditSlot struct {
-	f, m       fbwire.AuditCell
-	hasF, hasM bool
 }
 
 // ServeFleetAggregator accepts agent connections on ln and merges their
-// partial streams into one dataset at the global task-order frontier.
+// cell streams into one dataset at the global task-order frontier.
 // It returns when every agent has delivered its full shard range or has
 // been gapped out after reconnectWait without a live connection. The
 // returned gaps are sorted in task order, so gap accounting is as
@@ -427,33 +308,29 @@ func (s *System) ServeFleetAggregator(ln net.Listener, agents int, reconnectWait
 	if reconnectWait <= 0 {
 		reconnectWait = 10 * time.Second
 	}
-	spw := s.fleetShardsPerWindow()
+	reg := s.Cfg.Obs
+	sp := reg.StartSpan("fleet-aggregate")
+	defer sp.End()
+	spw := s.fleetGrid().spw
 	ag := &fleetAggregator{
-		s:         s,
-		agents:    agents,
-		shards:    s.FleetShardMap(agents),
-		spw:       spw,
-		cells:     spw * s.Cfg.FleetWindows,
-		ds:        fbflow.NewDataset(),
-		received:  make([]uint64, agents),
-		expected:  make([]uint64, agents),
-		fin:       make([]bool, agents),
-		connected: make([]bool, agents),
-		lastInc:   make([]int64, agents),
-		lastSeen:  make([]time.Time, agents),
+		s:          s,
+		agents:     agents,
+		shards:     s.FleetShardMap(agents),
+		spw:        spw,
+		front:      &frontier{s: s, prog: reg.NewProgress("fleet-windows", int64(s.Cfg.FleetWindows))},
+		received:   make([]uint64, agents),
+		expected:   make([]uint64, agents),
+		fin:        make([]bool, agents),
+		connected:  make([]bool, agents),
+		lastInc:    make([]int64, agents),
+		lastSeen:   make([]time.Time, agents),
+		reports:    make([]*obs.AgentReport, agents),
+		agentLabel: make([]string, agents),
+		stallCell:  -1,
 	}
 	ag.cond = sync.NewCond(&ag.mu)
-	ag.parked = make([]*fbflow.Partial, ag.cells)
-	ag.gapped = make([]bool, ag.cells)
-	ag.merged = make([]bool, ag.cells)
-	ag.parkedObs = make([][]byte, ag.cells)
-	if s.Cfg.Audit.Enabled() {
-		ag.parkedAud = make([]auditSlot, ag.cells)
-	}
-	ag.reports = make([]*obs.AgentReport, agents)
-	ag.agentLabel = make([]string, agents)
-	ag.stallCell = -1
-	ag.pool.New = func() any { return fbflow.NewPartial() }
+	ds := fbflow.NewDataset()
+	ag.front.reset(ds, 0, spw*s.Cfg.FleetWindows)
 	now := time.Now()
 	for a := 0; a < agents; a++ {
 		ag.expected[a] = uint64(ag.shards[a].Span() * s.Cfg.FleetWindows)
@@ -461,11 +338,6 @@ func (s *System) ServeFleetAggregator(ln net.Listener, agents int, reconnectWait
 		ag.lastSeen[a] = now
 		ag.agentLabel[a] = fmt.Sprint(a)
 	}
-
-	reg := s.Cfg.Obs
-	sp := reg.StartSpan("fleet-aggregate")
-	defer sp.End()
-	winProg := reg.NewProgress("fleet-windows", int64(s.Cfg.FleetWindows))
 
 	// Accept loop: runs until the listener closes. Each connection is
 	// one agent incarnation.
@@ -479,7 +351,7 @@ func (s *System) ServeFleetAggregator(ln net.Listener, agents int, reconnectWait
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
-				ag.handleConn(conn, winProg)
+				ag.handleConn(conn)
 			}()
 		}
 	}()
@@ -498,7 +370,7 @@ func (s *System) ServeFleetAggregator(ln net.Listener, agents int, reconnectWait
 		return a.ShardLo < b.ShardLo
 	})
 	if reg.Enabled() {
-		winProg.Set(int64(s.Cfg.FleetWindows))
+		ag.front.prog.Set(int64(s.Cfg.FleetWindows))
 		gapCells := 0
 		for _, g := range ag.gaps {
 			gapCells += g.Cells
@@ -508,7 +380,7 @@ func (s *System) ServeFleetAggregator(ln net.Listener, agents int, reconnectWait
 		reg.SetGauge("fbdcnet_fleet_audit_dropped_frames", float64(ag.audDrops))
 		s.storeAgentObs(ag)
 	}
-	return ag.ds, ag.gaps, nil
+	return ds, ag.gaps, nil
 }
 
 // storeAgentObs keeps the run's federated agent reports and incarnation
@@ -621,16 +493,10 @@ func (ag *fleetAggregator) healthLocked(now time.Time) {
 	}
 	frontierWin := 0
 	if ag.spw > 0 {
-		frontierWin = ag.next / ag.spw
-	}
-	parkedCells := 0
-	for _, p := range ag.parked {
-		if p != nil {
-			parkedCells++
-		}
+		frontierWin = ag.front.next / ag.spw
 	}
 	reg.SetGauge("fbdcnet_fleet_frontier_window", float64(frontierWin))
-	reg.SetGauge("fbdcnet_fleet_parked_cells", float64(parkedCells))
+	reg.SetGauge("fbdcnet_fleet_parked_cells", float64(ag.front.parked))
 	reg.SetGauge("fbdcnet_fleet_obs_dropped_frames", float64(ag.obsDrops))
 	var b strings.Builder
 	b.WriteString("  agent  state  inc  tasks            lag(win)  last-seen\n")
@@ -658,23 +524,23 @@ func (ag *fleetAggregator) healthLocked(now time.Time) {
 			a, state, ag.lastInc[a], ag.received[a], ag.expected[a], lagWin, age)
 	}
 	reg.SetPanel("agents", b.String())
-	ag.stallLocked(now, parkedCells)
+	ag.stallLocked(now)
 }
 
 // stallLocked tracks frontier stalls: the merge head waiting on one
-// agent's cell while later cells sit parked. Each stall becomes a
-// `frontier-stall:agent-N` span on the aggregator timeline (the
-// frontier-lag annotation of the exported trace) and a per-agent
-// stall-seconds series. Caller holds ag.mu.
-func (ag *fleetAggregator) stallLocked(now time.Time, parkedCells int) {
-	blocked := parkedCells > 0 &&
-		ag.next < ag.cells && ag.parked[ag.next] == nil && !ag.gapped[ag.next]
+// agent's cell while later cells sit parked (the frontier consumes every
+// cell it can reach, so any parked cell means the head is missing).
+// Each stall becomes a `frontier-stall:agent-N` span on the aggregator
+// timeline (the frontier-lag annotation of the exported trace) and a
+// per-agent stall-seconds series. Caller holds ag.mu.
+func (ag *fleetAggregator) stallLocked(now time.Time) {
+	head := ag.front.next
 	switch {
-	case blocked && ag.stallCell == ag.next:
+	case ag.front.parked > 0 && ag.stallCell == head:
 		// Still stalled on the same cell: the open span keeps growing.
-	case blocked:
+	case ag.front.parked > 0:
 		ag.flushStallLocked(now)
-		ag.stallCell, ag.stallStart = ag.next, now
+		ag.stallCell, ag.stallStart = head, now
 	default:
 		ag.flushStallLocked(now)
 	}
@@ -706,7 +572,7 @@ func (ag *fleetAggregator) ownerOfCell(cell int) int {
 }
 
 // handleConn runs one agent incarnation's session.
-func (ag *fleetAggregator) handleConn(conn net.Conn, winProg *obs.Progress) {
+func (ag *fleetAggregator) handleConn(conn net.Conn) {
 	defer conn.Close()
 	reg := ag.s.Cfg.Obs
 	r := fbwire.NewReader(conn)
@@ -765,6 +631,7 @@ func (ag *fleetAggregator) handleConn(conn net.Conn, winProg *obs.Progress) {
 	ag.connected[a] = true
 	ag.lastSeen[a] = time.Now()
 	resume := ag.received[a]
+	c := ag.front.get() // the envelope the next CELL frame decodes into
 	ag.mu.Unlock()
 
 	reg.AddGauge("fbdcnet_fleet_agents_connected", 1)
@@ -779,6 +646,7 @@ func (ag *fleetAggregator) handleConn(conn net.Conn, winProg *obs.Progress) {
 			reg.Count(obs.Series("fbdcnet_fleet_agent_reconnects_total", "agent", ag.agentLabel[a]), 1)
 		}
 		ag.mu.Lock()
+		ag.front.put(c)
 		ag.connected[a] = false
 		ag.lastSeen[a] = time.Now()
 		ag.cond.Broadcast()
@@ -789,11 +657,8 @@ func (ag *fleetAggregator) handleConn(conn net.Conn, winProg *obs.Progress) {
 		return
 	}
 
-	p := ag.pool.Get().(*fbflow.Partial)
-	defer func() {
-		p.Reset()
-		ag.pool.Put(p)
-	}()
+	aud := ag.s.Cfg.Audit
+	var sec fbwire.Sections
 	for {
 		f, err := r.Next()
 		if err != nil {
@@ -803,97 +668,62 @@ func (ag *fleetAggregator) handleConn(conn net.Conn, winProg *obs.Progress) {
 		}
 		frames++
 		switch f.Type {
-		case fbwire.TypeObs:
-			// Observability is best-effort where the dataset protocol is
-			// strict: an undecodable obs payload is dropped and counted,
-			// never allowed to fail the run or move the merge frontier.
-			oh, body, err := fbwire.ParseObs(f.Payload)
-			if err != nil {
-				ag.dropObs(a)
-				continue
-			}
-			switch oh.Kind {
-			case fbwire.ObsCell:
-				ag.mu.Lock()
-				if oh.Seq != ag.received[a] || ag.scratch.Decode(body) != nil {
-					ag.dropObsLocked(a)
-					ag.mu.Unlock()
-					continue
-				}
-				window, shard := agentTask(rg, oh.Seq)
-				cell := window*ag.spw + shard
-				if old := ag.parkedObs[cell]; old != nil {
-					ag.obsFree = append(ag.obsFree, old[:0])
-				}
-				ag.parkedObs[cell] = append(ag.getObsBufLocked(), body...)
-				ag.mu.Unlock()
-			case fbwire.ObsFinal:
-				rep := new(obs.AgentReport)
-				if obs.DecodeReport(body, rep) != nil || int(rep.AgentID) != a {
-					ag.dropObs(a)
-					continue
-				}
-				ag.mu.Lock()
-				ag.reports[a] = rep
-				ag.mu.Unlock()
-			}
-		case fbwire.TypeAudit:
-			// Checkpoints are best-effort like obs: a frame the aggregator
-			// cannot trust (undecodable, wrong seq, mislabeled cell) is
-			// dropped and counted; its cell will land in the ledger as an
-			// explicit hole when the frontier reaches it.
-			c, err := fbwire.ParseAudit(f.Payload)
-			if err != nil {
-				ag.dropAudit(a)
-				continue
-			}
-			ag.mu.Lock()
-			window, shard := agentTask(rg, c.Seq)
-			if ag.parkedAud == nil || c.Seq != ag.received[a] ||
-				int(c.Window) != window || int(c.Shard) != shard {
-				ag.dropAuditLocked(a)
-				ag.mu.Unlock()
-				continue
-			}
-			cell := window*ag.spw + shard
-			slot := &ag.parkedAud[cell]
-			if c.Stage == fbwire.AuditMatrixSynth {
-				slot.m, slot.hasM = c, true
-			} else {
-				slot.f, slot.hasF = c, true
-			}
-			ag.s.Cfg.Audit.BB().Record(audit.EvFrameRx, "audit", fbwire.TypeAudit, int64(cell))
-			ag.mu.Unlock()
-		case fbwire.TypePartial:
-			ph, err := fbwire.DecodePartial(f.Payload, p)
+		case fbwire.TypeCell:
+			ph, err := fbwire.DecodeCell(f.Payload, c.p, &sec)
 			if err != nil {
 				ag.fail(fmt.Errorf("core: aggregator: agent %d frame: %w", a, err))
 				return
 			}
 			ag.mu.Lock()
-			if ph.Seq != ag.received[a] {
-				ag.failLocked(fmt.Errorf("core: aggregator: agent %d sent task %d, expected %d", a, ph.Seq, ag.received[a]))
+			window, shard := agentTask(rg, ph.Seq)
+			if ph.Seq != ag.received[a] || int(ph.Window) != window || int(ph.Shard) != shard {
+				ag.failLocked(fmt.Errorf("core: aggregator: agent %d sent task %d labeled (%d,%d), expected task %d",
+					a, ph.Seq, ph.Window, ph.Shard, ag.received[a]))
 				ag.mu.Unlock()
 				return
 			}
-			window, shard := agentTask(rg, ph.Seq)
-			if int(ph.Window) != window || int(ph.Shard) != shard {
-				ag.failLocked(fmt.Errorf("core: aggregator: agent %d task %d labeled (%d,%d), want (%d,%d)",
-					a, ph.Seq, ph.Window, ph.Shard, window, shard))
-				ag.mu.Unlock()
-				return
+			// The optional sections are best-effort where the dataset
+			// section is strict: one the aggregator cannot trust is
+			// dropped and counted, and the cell still merges — without its
+			// metrics, or with ledger holes for its checkpoints.
+			if sec.Obs != nil {
+				if ag.front.scratch.Decode(sec.Obs) != nil {
+					ag.dropLocked(a, "fbdcnet_fleet_obs_drops_total", &ag.obsDrops)
+				} else {
+					c.delta = append(c.delta, sec.Obs...)
+				}
+			}
+			if sec.HasAudit {
+				if sec.AuditErr != nil || !aud.Enabled() {
+					ag.dropLocked(a, "fbdcnet_fleet_audit_drops_total", &ag.audDrops)
+				} else {
+					c.aud.fromWire(window, shard, sec.Audit[:sec.NAudit])
+				}
 			}
 			cell := window*ag.spw + shard
-			ag.parked[cell] = p
+			aud.BB().Record(audit.EvFrameRx, "cell", fbwire.TypeCell, int64(cell))
+			ag.front.park(cell, c)
+			ag.front.advance()
 			ag.received[a]++
-			ag.advanceLocked(winProg)
 			// Whether the frontier consumed the cell or it stays parked,
-			// the partial no longer belongs to this handler.
-			p = ag.pool.Get().(*fbflow.Partial)
+			// the envelope no longer belongs to this handler.
+			c = ag.front.get()
 			ag.mu.Unlock()
 		case fbwire.TypeFin:
-			sent, err := fbwire.ParseFin(f.Payload)
+			sent, report, err := fbwire.ParseFin(f.Payload)
+			var rep *obs.AgentReport
+			if report != nil {
+				rep = new(obs.AgentReport)
+				if obs.DecodeReport(report, rep) != nil || int(rep.AgentID) != a {
+					rep = nil
+				}
+			}
 			ag.mu.Lock()
+			if rep != nil {
+				ag.reports[a] = rep
+			} else if report != nil {
+				ag.dropLocked(a, "fbdcnet_fleet_obs_drops_total", &ag.obsDrops)
+			}
 			if err != nil || ag.received[a] != ag.expected[a] {
 				ag.failLocked(fmt.Errorf("core: aggregator: agent %d fin at %d of %d tasks (sent %d, err %v)",
 					a, ag.received[a], ag.expected[a], sent, err))
@@ -911,130 +741,31 @@ func (ag *fleetAggregator) handleConn(conn net.Conn, winProg *obs.Progress) {
 	}
 }
 
-// dropObs counts one dropped obs frame from agent a.
-func (ag *fleetAggregator) dropObs(a int) {
-	ag.mu.Lock()
-	ag.dropObsLocked(a)
-	ag.mu.Unlock()
-}
-
-// dropObsLocked counts one dropped obs frame. Caller holds ag.mu.
-func (ag *fleetAggregator) dropObsLocked(a int) {
-	ag.obsDrops++
-	ag.s.Cfg.Obs.Count(obs.Series("fbdcnet_fleet_obs_drops_total", "agent", ag.agentLabel[a]), 1)
-}
-
-// dropAudit counts one dropped audit frame from agent a.
-func (ag *fleetAggregator) dropAudit(a int) {
-	ag.mu.Lock()
-	ag.dropAuditLocked(a)
-	ag.mu.Unlock()
-}
-
-// dropAuditLocked counts one dropped audit frame. Caller holds ag.mu.
-func (ag *fleetAggregator) dropAuditLocked(a int) {
-	ag.audDrops++
-	ag.s.Cfg.Obs.Count(obs.Series("fbdcnet_fleet_audit_drops_total", "agent", ag.agentLabel[a]), 1)
-}
-
-// getObsBufLocked pops a recycled delta buffer (nil when the free list
-// is empty — append grows it). Caller holds ag.mu.
-func (ag *fleetAggregator) getObsBufLocked() []byte {
-	if n := len(ag.obsFree); n > 0 {
-		b := ag.obsFree[n-1]
-		ag.obsFree = ag.obsFree[:n-1]
-		return b
-	}
-	return nil
-}
-
-// advanceLocked merges every cell the task-order frontier can reach:
-// parked cells merge (and their partials return to the pool), gapped
-// cells skip. A parked obs delta folds into the registry exactly when
-// its cell merges; a delta at a gapped cell (the agent shipped the obs
-// frame, then died before the partial) is discarded, so federated
-// metrics stay a pure function of the merged cell set. Caller holds
-// ag.mu.
-func (ag *fleetAggregator) advanceLocked(winProg *obs.Progress) {
-	moved := false
-	for ag.next < ag.cells {
-		q := ag.parked[ag.next]
-		if q == nil && !ag.gapped[ag.next] {
-			break
-		}
-		if ob := ag.parkedObs[ag.next]; ob != nil {
-			ag.parkedObs[ag.next] = nil
-			if q != nil && ag.scratch.Decode(ob) == nil {
-				ag.s.Cfg.Obs.FoldDelta(&ag.scratch)
-			}
-			ag.obsFree = append(ag.obsFree, ob[:0])
-		}
-		if q != nil {
-			ag.parked[ag.next] = nil
-			ag.ds.MergePartial(q)
-			q.Reset()
-			ag.pool.Put(q)
-			ag.merged[ag.next] = true
-		}
-		if ag.parkedAud != nil {
-			ag.appendAuditLocked(ag.next, q != nil)
-		}
-		ag.next++
-		moved = true
-	}
-	if moved && ag.spw > 0 {
-		winProg.Set(int64(ag.next / ag.spw))
-	}
-}
-
-// appendAuditLocked lands cell's parked checkpoints in the
-// authoritative ledger as the frontier consumes it: matrix-synth first
-// (it precedes the draw), then fleet-collect. A gapped cell — or a
-// merged cell whose audit frame was lost — becomes an explicit hole;
-// holes carry no hash, so a crashed arm's ledger prefix still compares
-// byte-for-byte against a clean run's. Caller holds ag.mu.
-func (ag *fleetAggregator) appendAuditLocked(cell int, mergedCell bool) {
-	aud := ag.s.Cfg.Audit
-	bb := aud.BB()
-	window, shard := cell/ag.spw, cell%ag.spw
-	slot := &ag.parkedAud[cell]
-	if ag.s.Cfg.FleetMatrix {
-		if mergedCell && slot.hasM {
-			aud.Append(audit.Checkpoint{Stage: audit.StageMatrixSynth, Window: window, Shard: shard, Sum: slot.m.Sum, Count: slot.m.Count})
-		} else {
-			aud.Hole(audit.StageMatrixSynth, window, shard)
-		}
-	}
-	if mergedCell && slot.hasF {
-		aud.Append(audit.Checkpoint{Stage: audit.StageFleetCollect, Window: window, Shard: shard, Sum: slot.f.Sum, Count: slot.f.Count})
-		bb.Record(audit.EvCellMerge, audit.StageFleetCollect, int64(window), int64(shard))
-	} else {
-		aud.Hole(audit.StageFleetCollect, window, shard)
-		bb.Record(audit.EvCellHole, audit.StageFleetCollect, int64(window), int64(shard))
-	}
-	*slot = auditSlot{}
+// dropLocked counts one dropped best-effort section from agent a in the
+// named per-agent series and the run total. Caller holds ag.mu.
+func (ag *fleetAggregator) dropLocked(a int, series string, total *int64) {
+	*total++
+	ag.s.Cfg.Obs.Count(obs.Series(series, "agent", ag.agentLabel[a]), 1)
 }
 
 // markGaps accounts agent tasks [from, to) as coverage gaps, grouped
-// into one contiguous run per window. Caller holds ag.mu.
+// into one contiguous run per window, and lets the frontier skip them.
+// Caller holds ag.mu.
 func (ag *fleetAggregator) markGaps(a int, from, to uint64) {
 	rg := ag.shards[a]
 	for t := from; t < to; {
 		window, shard := agentTask(rg, t)
-		runEnd := uint64(window+1) * uint64(rg.Span())
-		if runEnd > to {
-			runEnd = to
-		}
+		runEnd := min(uint64(window+1)*uint64(rg.Span()), to)
 		n := int(runEnd - t)
 		ag.gaps = append(ag.gaps, CoverageGap{
 			Agent: a, Window: window, ShardLo: shard, ShardHi: shard + n, Cells: n,
 		})
 		for c := 0; c < n; c++ {
-			ag.gapped[window*ag.spw+shard+c] = true
+			ag.front.gap(window*ag.spw + shard + c)
 		}
 		t = runEnd
 	}
-	ag.advanceLocked(nil)
+	ag.front.advance()
 }
 
 // fail records the first fatal protocol error; the waiter surfaces it.
@@ -1049,307 +780,4 @@ func (ag *fleetAggregator) failLocked(err error) {
 		ag.err = err
 	}
 	ag.cond.Broadcast()
-}
-
-// AgentCrashPlan schedules one deterministic agent death: the victim
-// exits (status AgentCrashExitCode) right after streaming its
-// AfterTask-th task, and the spawner restarts it with the next
-// incarnation.
-type AgentCrashPlan struct {
-	Agent     int
-	AfterTask int64
-}
-
-// PlanAgentCrash derives the crash schedule from the seed, like every
-// other fault in the repo: the victim and its death point are a pure
-// function of (Seed, agents), so two runs of the same configuration
-// crash — and gap — identically. The death lands mid-window whenever
-// the victim owns more than one shard, which is what forces a real
-// coverage gap rather than a clean boundary handoff.
-func (s *System) PlanAgentCrash(agents int) AgentCrashPlan {
-	m := s.FleetShardMap(agents)
-	var owners []int
-	for a, rg := range m {
-		if rg.Span() > 0 {
-			owners = append(owners, a)
-		}
-	}
-	r := rng.NewKeyed(s.Cfg.Seed^0xc4a54, uint64(agents))
-	victim := owners[r.Intn(len(owners))]
-	span := m[victim].Span()
-	off := 0
-	if span > 1 {
-		off = r.Intn(span - 1) // not the last shard of the window: forces a gap
-	}
-	window := s.Cfg.FleetWindows / 2
-	return AgentCrashPlan{Agent: victim, AfterTask: int64(window*span + off)}
-}
-
-// DialFleetAgent dials the aggregator with retry until timeout — agents
-// race the aggregator's listener at process startup.
-func DialFleetAgent(network, addr string, timeout time.Duration) (net.Conn, error) {
-	deadline := time.Now().Add(timeout)
-	for {
-		conn, err := net.Dial(network, addr)
-		if err == nil {
-			return conn, nil
-		}
-		if time.Now().After(deadline) {
-			return nil, fmt.Errorf("core: dialing aggregator %s %s: %w", network, addr, err)
-		}
-		time.Sleep(20 * time.Millisecond)
-	}
-}
-
-// AgentSpawner launches one agent process incarnation. The command must
-// run an agent that dials the aggregator and exits zero on FIN,
-// AgentCrashExitCode at a planned crash, and anything else on failure.
-type AgentSpawner func(agentID, incarnation int) (*exec.Cmd, error)
-
-// RunDistributedFleet is the local multi-process driver: it listens on
-// (network, addr), spawns one agent process per shard-map entry through
-// spawn — restarting planned-crash exits with a bumped incarnation —
-// and aggregates their streams. It returns the merged dataset and the
-// coverage gaps (empty for a clean run).
-func (s *System) RunDistributedFleet(network, addr string, agents int, spawn AgentSpawner, reconnectWait time.Duration) (*fbflow.Dataset, []CoverageGap, error) {
-	ln, err := net.Listen(network, addr)
-	if err != nil {
-		return nil, nil, err
-	}
-	spawnErrs := make(chan error, agents)
-	var wg sync.WaitGroup
-	for a := 0; a < agents; a++ {
-		wg.Add(1)
-		go func(a int) {
-			defer wg.Done()
-			for inc := 0; ; inc++ {
-				cmd, err := spawn(a, inc)
-				if err != nil {
-					spawnErrs <- fmt.Errorf("core: spawning agent %d: %w", a, err)
-					return
-				}
-				err = cmd.Run()
-				if err == nil {
-					return
-				}
-				var ee *exec.ExitError
-				if errors.As(err, &ee) && ee.ExitCode() == AgentCrashExitCode {
-					continue // planned crash: restart as the next incarnation
-				}
-				spawnErrs <- fmt.Errorf("core: agent %d process: %w", a, err)
-				return
-			}
-		}(a)
-	}
-	ds, gaps, aggErr := s.ServeFleetAggregator(ln, agents, reconnectWait)
-	ln.Close()
-	wg.Wait()
-	close(spawnErrs)
-	for e := range spawnErrs {
-		if aggErr == nil {
-			aggErr = e
-		}
-	}
-	if aggErr != nil {
-		return nil, nil, aggErr
-	}
-	return ds, gaps, nil
-}
-
-// AgentMetricsAddr derives agent a's live-metrics listen address from
-// the aggregator's -metrics-addr: the same host with the port offset by
-// 1+a, so one flag fans out to N processes without collisions. Port 0
-// (kernel-assigned) passes through as 0 for every agent; an unparsable
-// base yields "" (metrics endpoint disabled for the agents).
-func AgentMetricsAddr(base string, a int) string {
-	if base == "" {
-		return ""
-	}
-	host, port, err := net.SplitHostPort(base)
-	if err != nil {
-		return ""
-	}
-	p, err := strconv.Atoi(port)
-	if err != nil || p < 0 {
-		return ""
-	}
-	if p == 0 {
-		return net.JoinHostPort(host, "0")
-	}
-	return net.JoinHostPort(host, strconv.Itoa(p+1+a))
-}
-
-// AgentMetricsAddrs resolves the full per-agent metrics address table
-// up front — base port + 1 + index for each of the `agents` processes —
-// so spawn mode can detect port collisions and overflows before any
-// child hits an opaque bind error. avoid lists addresses already taken
-// in this run (the aggregator's own metrics endpoint, the dataset
-// listener when it is TCP): a derived address that lands on one of them
-// is reported with both claimants named. Port 0 (kernel-assigned) and
-// an empty base disable the check and derive like AgentMetricsAddr.
-func AgentMetricsAddrs(base string, agents int, avoid ...string) ([]string, error) {
-	addrs := make([]string, agents)
-	if base == "" {
-		return addrs, nil
-	}
-	host, port, err := net.SplitHostPort(base)
-	if err != nil {
-		return nil, fmt.Errorf("core: agent metrics base %q: %w", base, err)
-	}
-	p, err := strconv.Atoi(port)
-	if err != nil || p < 0 {
-		return nil, fmt.Errorf("core: agent metrics base %q: port %q is not a port number", base, port)
-	}
-	if p == 0 {
-		for a := range addrs {
-			addrs[a] = net.JoinHostPort(host, "0")
-		}
-		return addrs, nil
-	}
-	taken := make(map[string]string, len(avoid)+agents)
-	for _, av := range avoid {
-		if av != "" {
-			taken[av] = "reserved by the run"
-		}
-	}
-	for a := range addrs {
-		derived := p + 1 + a
-		if derived > 65535 {
-			return nil, fmt.Errorf("core: agent %d metrics port %d overflows 65535 (base %q + 1 + %d); pick a lower base port", a, derived, base, a)
-		}
-		addr := net.JoinHostPort(host, strconv.Itoa(derived))
-		if who, clash := taken[addr]; clash {
-			return nil, fmt.Errorf("core: agent %d metrics address %s collides with %s; move -metrics-addr so base+1..base+%d stay free", a, addr, who, agents)
-		}
-		taken[addr] = fmt.Sprintf("agent %d", a)
-		addrs[a] = addr
-	}
-	return addrs, nil
-}
-
-// ParseListenSpec splits an address spec into (network, address):
-// "unix:/path" and "tcp:host:port" are explicit; a bare path is a unix
-// socket, anything else with a colon is TCP.
-func ParseListenSpec(spec string) (network, addr string) {
-	switch {
-	case strings.HasPrefix(spec, "unix:"):
-		return "unix", spec[len("unix:"):]
-	case strings.HasPrefix(spec, "tcp:"):
-		return "tcp", spec[len("tcp:"):]
-	case strings.Contains(spec, ":"):
-		return "tcp", spec
-	default:
-		return "unix", spec
-	}
-}
-
-// SelfExecSpawner returns an AgentSpawner that re-runs the current
-// executable with args(agentID, incarnation). Agent stderr passes
-// through for diagnostics; stdout is discarded so agents cannot pollute
-// the aggregator's dataset output.
-func SelfExecSpawner(args func(agentID, incarnation int) []string) (AgentSpawner, error) {
-	exe, err := os.Executable()
-	if err != nil {
-		return nil, fmt.Errorf("core: resolving own executable: %w", err)
-	}
-	return func(a, inc int) (*exec.Cmd, error) {
-		cmd := exec.Command(exe, args(a, inc)...)
-		cmd.Stderr = os.Stderr
-		return cmd, nil
-	}, nil
-}
-
-// CollectFleetDistributed runs this System's fleet collection across
-// `agents` self-exec agent processes over a unix socket in a private
-// temp directory, injects the aggregate as the System's fleet dataset,
-// and returns the coverage gaps (empty for a clean run). args builds
-// the child process's argument list; it receives the socket path.
-func (s *System) CollectFleetDistributed(agents int, args func(addr string, agentID, incarnation int) []string) ([]CoverageGap, error) {
-	dir, err := os.MkdirTemp("", "fbflow-agg-")
-	if err != nil {
-		return nil, err
-	}
-	defer os.RemoveAll(dir)
-	addr := filepath.Join(dir, "agg.sock")
-	spawn, err := SelfExecSpawner(func(a, inc int) []string { return args(addr, a, inc) })
-	if err != nil {
-		return nil, err
-	}
-	ds, gaps, err := s.RunDistributedFleet("unix", addr, agents, spawn, 0)
-	if err != nil {
-		return nil, err
-	}
-	if !s.InjectFleetDataset(ds, gaps) {
-		return nil, fmt.Errorf("core: fleet dataset already collected before distributed run")
-	}
-	return gaps, nil
-}
-
-// fleetReferenceSkipping is the sequential oracle for gap runs: the
-// single-process collection with the given cells skipped at the merge.
-// The distributed dataset of a crashed run must equal it bit for bit.
-func (s *System) fleetReferenceSkipping(skip map[int]bool) *fbflow.Dataset {
-	tasks := s.fleetTasks()
-	tagger := fbflow.NewTagger(s.Topo)
-	ds := fbflow.NewDataset()
-	var prog *services.FleetProgram
-	var mprog *services.MatrixProgram
-	var mat *services.DemandMatrix
-	if s.Cfg.FleetMatrix {
-		mprog = services.NewMatrixProgram(s.Pick, s.Cfg.Params)
-		mat = services.NewDemandMatrix()
-	} else {
-		prog = services.NewFleetProgram(s.Pick, s.Cfg.Params)
-	}
-	p := fbflow.NewPartial()
-	if s.Cfg.SketchMode {
-		p.EnableCardinality()
-	}
-	// Instrumented like the distributed path: one obs shard observed and
-	// folded per kept cell, so a registry-carrying oracle run is also the
-	// counter reference for federation under gaps.
-	reg := s.Cfg.Obs
-	aud := s.Cfg.Audit
-	sh := reg.NewShard()
-	for i, t := range tasks {
-		if skip[i] {
-			// Audit parity with the distributed crash arm: a skipped cell
-			// is an explicit ledger hole, never a hash.
-			if s.Cfg.FleetMatrix {
-				aud.Hole(audit.StageMatrixSynth, t.window, t.shard)
-			}
-			aud.Hole(audit.StageFleetCollect, t.window, t.shard)
-			continue
-		}
-		p.Reset()
-		var t0 time.Time
-		if reg.Enabled() {
-			t0 = time.Now()
-		}
-		var fh, mh *audit.Hash
-		var fhv, mhv audit.Hash
-		if aud.Enabled() {
-			fh = &fhv
-			if s.Cfg.FleetMatrix {
-				mh = &mhv
-			}
-		}
-		if s.Cfg.FleetMatrix {
-			s.collectMatrixShard(tagger, mprog, t, mat, p, sh, fh, mh)
-		} else {
-			s.collectShard(tagger, prog, t, p, sh, fh)
-		}
-		if aud.Enabled() {
-			if mh != nil {
-				aud.Record(audit.StageMatrixSynth, t.window, t.shard, mh)
-			}
-			aud.Record(audit.StageFleetCollect, t.window, t.shard, fh)
-		}
-		if reg.Enabled() {
-			sh.Observe(s.obsIDs.fleetShardUs, time.Since(t0).Microseconds())
-		}
-		sh.Fold()
-		ds.MergePartial(p)
-	}
-	return ds
 }

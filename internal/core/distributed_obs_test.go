@@ -221,7 +221,7 @@ func TestDistributedObsFederationCrash(t *testing.T) {
 		t.Fatal("mid-window crash produced no coverage gap")
 	}
 
-	spw := asys.fleetShardsPerWindow()
+	spw := asys.fleetGrid().spw
 	skip := map[int]bool{}
 	for _, g := range gaps {
 		for sh := g.ShardLo; sh < g.ShardHi; sh++ {

@@ -6,10 +6,15 @@ import (
 	"fmt"
 	"net"
 	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 	"time"
 
+	"fbdcnet/internal/fbflow"
+	"fbdcnet/internal/fbwire"
+	"fbdcnet/internal/obs"
+	"fbdcnet/internal/obs/audit"
 	"fbdcnet/internal/topology"
 )
 
@@ -79,6 +84,42 @@ func digestJSON(t *testing.T, sys *System) []byte {
 		t.Fatal(err)
 	}
 	return b
+}
+
+// fleetReferenceSkipping is the sequential oracle for gap runs: the
+// single-process collection with the given grid cells skipped. It
+// computes cells through the shared cell helper but merges them in a
+// plain loop, never through the merge frontier, so it stays an
+// independent check of the frontier's gap handling. The distributed
+// dataset of a crashed run must equal it bit for bit; instrumented like
+// the distributed path — one obs shard observed and folded per kept
+// cell, checkpoints appended and skipped cells recorded as holes — it is
+// also the counter and ledger reference for federation under gaps.
+func (s *System) fleetReferenceSkipping(skip map[int]bool) *fbflow.Dataset {
+	grid := s.fleetGrid()
+	scratch := s.newCellScratch(fbflow.NewTagger(s.Topo), 1)
+	c := s.newFleetCell()
+	aud := s.Cfg.Audit
+	ds := fbflow.NewDataset()
+	for i := 0; i < grid.spw*s.Cfg.FleetWindows; i++ {
+		t := grid.task(i)
+		if skip[i] {
+			if s.Cfg.FleetMatrix {
+				aud.Hole(audit.StageMatrixSynth, t.window, t.shard)
+			}
+			aud.Hole(audit.StageFleetCollect, t.window, t.shard)
+			continue
+		}
+		c.p.Reset()
+		a := s.computeCell(&scratch[0], t, c.p, c.sh)
+		if s.Cfg.FleetMatrix {
+			aud.Append(a.synth)
+		}
+		aud.Append(a.fleet)
+		c.sh.Fold()
+		ds.MergePartial(c.p)
+	}
+	return ds
 }
 
 // TestDistributedMatchesSingleProcess is the determinism contract: the
@@ -165,7 +206,7 @@ func TestDistributedAgentCrashRestart(t *testing.T) {
 	// The aggregate must equal the sequential oracle that skips exactly
 	// the gapped cells — proving the restart resumed the right stream
 	// and nothing was double-counted.
-	spw := sys.fleetShardsPerWindow()
+	spw := sys.fleetGrid().spw
 	skip := map[int]bool{}
 	for _, g := range gaps {
 		for sh := g.ShardLo; sh < g.ShardHi; sh++ {
@@ -192,7 +233,7 @@ func TestDistributedAgentCrashRestart(t *testing.T) {
 // sides both derive independently: contiguous, complete, ordered.
 func TestFleetShardMapCoversGrid(t *testing.T) {
 	sys := MustNewSystem(QuickConfig())
-	spw := sys.fleetShardsPerWindow()
+	spw := sys.fleetGrid().spw
 	for agents := 1; agents <= 2*spw; agents++ {
 		m := sys.FleetShardMap(agents)
 		prev := 0
@@ -233,5 +274,147 @@ func TestAggregatorRejectsConfigMismatch(t *testing.T) {
 	ln.Close()
 	if err == nil {
 		t.Fatal("aggregator accepted a mismatched configuration")
+	}
+}
+
+// TestAggregatorDropsMalformedSections feeds the aggregator one agent
+// stream whose cell 1 carries an undecodable obs section, cell 2 an
+// audit section with a bogus stage, and whose FIN carries an
+// undecodable report. Sections are best-effort: each is dropped and
+// counted, the run completes with the single-process digest, and only
+// cell 2's checkpoint becomes a ledger hole.
+func TestAggregatorDropsMalformedSections(t *testing.T) {
+	cfg := QuickConfig()
+	want := digestJSON(t, MustNewSystem(cfg))
+	wantLedger := auditLedger(t, cfg)
+
+	acfg := cfg
+	acfg.Obs = obs.NewRegistry()
+	acfg.Audit = audit.New()
+	sys := MustNewSystem(acfg)
+	addr := filepath.Join(t.TempDir(), "agg.sock")
+	ln, err := net.Listen("unix", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	agentErr := make(chan error, 1)
+	go func() {
+		agentErr <- func() error {
+			conn, err := DialFleetAgent("unix", addr, 5*time.Second)
+			if err != nil {
+				return err
+			}
+			defer conn.Close()
+			gcfg := cfg
+			gcfg.Audit = audit.New()
+			agent := MustNewSystem(gcfg)
+			grid := agent.fleetGrid()
+			cells := grid.spw * cfg.FleetWindows
+			w, r := fbwire.NewWriter(conn), fbwire.NewReader(conn)
+			if err := w.WriteHello(fbwire.Hello{Version: fbwire.Version, ShardHi: uint32(grid.spw),
+				Windows: uint32(cfg.FleetWindows), Check: agent.fleetConfigCheck()}); err != nil {
+				return err
+			}
+			if _, err := r.Next(); err != nil {
+				return err
+			}
+			scratch := agent.newCellScratch(fbflow.NewTagger(agent.Topo), 1)
+			c := agent.newFleetCell()
+			for i := 0; i < cells; i++ {
+				c.p.Reset()
+				a := agent.computeCell(&scratch[0], grid.task(i), c.p, nil)
+				var obsSec []byte
+				cps := a.wire(nil)
+				switch i {
+				case 1:
+					obsSec = []byte{0xde, 0xad, 0xbe, 0xef}
+				case 2:
+					cps[0].Stage = 0x7f
+				}
+				t := grid.task(i)
+				if err := w.WriteCell(fbwire.PartialHeader{Seq: uint64(i), Window: uint32(t.window), Shard: uint32(t.shard)}, c.p, obsSec, cps); err != nil {
+					return err
+				}
+			}
+			return w.WriteFin(uint64(cells), []byte{1})
+		}()
+	}()
+	ds, gaps, err := sys.ServeFleetAggregator(ln, 1, 10*time.Second)
+	ln.Close()
+	if aerr := <-agentErr; aerr != nil {
+		t.Fatal(aerr)
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !sys.InjectFleetDataset(ds, gaps) {
+		t.Fatal("fleet dataset already memoized before injection")
+	}
+	if got := digestJSON(t, sys); !bytes.Equal(got, want) {
+		t.Fatal("dropped sections perturbed the dataset")
+	}
+	for series, n := range map[string]float64{
+		obs.Series("fbdcnet_fleet_obs_drops_total", "agent", "0"):   2, // cell 1's delta and FIN's report
+		obs.Series("fbdcnet_fleet_audit_drops_total", "agent", "0"): 1,
+	} {
+		if got := acfg.Obs.SeriesValue(series); got != n {
+			t.Errorf("%s = %v, want %v", series, got, n)
+		}
+	}
+	hole := sys.fleetGrid().task(2)
+	got := acfg.Audit.Checkpoints()
+	if len(got) != len(wantLedger) {
+		t.Fatalf("ledger has %d checkpoints, want %d", len(got), len(wantLedger))
+	}
+	for i, cp := range got {
+		if cp.Window == hole.window && cp.Shard == hole.shard {
+			if !cp.Hole {
+				t.Fatalf("cell (%d,%d) kept a checkpoint from a dropped audit section", cp.Window, cp.Shard)
+			}
+		} else if cp != wantLedger[i] {
+			t.Fatalf("checkpoint %d = %+v, want %+v", i, cp, wantLedger[i])
+		}
+	}
+}
+
+// TestAggregatorRejectsMalformedDataset: unlike the best-effort
+// sections, a CELL frame whose dataset section does not decode fails
+// the run instead of merging a guess.
+func TestAggregatorRejectsMalformedDataset(t *testing.T) {
+	cfg := QuickConfig()
+	sys := MustNewSystem(cfg)
+	addr := filepath.Join(t.TempDir(), "agg.sock")
+	ln, err := net.Listen("unix", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	go func() {
+		conn, err := DialFleetAgent("unix", addr, 5*time.Second)
+		if err != nil {
+			return
+		}
+		defer conn.Close()
+		spw := sys.fleetGrid().spw
+		w, r := fbwire.NewWriter(conn), fbwire.NewReader(conn)
+		if w.WriteHello(fbwire.Hello{Version: fbwire.Version, ShardHi: uint32(spw),
+			Windows: uint32(cfg.FleetWindows), Check: sys.fleetConfigCheck()}) != nil {
+			return
+		}
+		if _, err := r.Next(); err != nil {
+			return
+		}
+		var frame bytes.Buffer
+		if fbwire.NewWriter(&frame).WritePartial(fbwire.PartialHeader{}, fbflow.NewPartial()) != nil {
+			return
+		}
+		b := frame.Bytes()
+		b[len(b)-1] ^= 0xff // corrupt the tail of the dataset section
+		conn.Write(b)
+		r.Next() // hold the connection until the aggregator gives up
+	}()
+	_, _, err = sys.ServeFleetAggregator(ln, 1, 10*time.Second)
+	ln.Close()
+	if err == nil || !strings.Contains(err.Error(), "agent 0 frame") {
+		t.Fatalf("aggregator accepted a cell whose dataset section does not decode (err %v)", err)
 	}
 }

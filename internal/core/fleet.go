@@ -55,165 +55,130 @@ type fleetTask struct {
 	lo, hi int // host ID range [lo, hi), or rack ID range in matrix mode
 }
 
-// fleetTasks enumerates the full (window × shard) task grid in the
+// fleetGrid is the (window × shard) task grid: spw shards per window,
+// each owning a fixed-width range of hosts (racks in matrix mode). It is
+// a pure function of topology size and collection mode, never of the
+// worker or agent count. Grid index window*spw + shard is the
 // deterministic merge order.
-func (s *System) fleetTasks() []fleetTask {
-	n, width := s.Topo.NumHosts(), fleetShardHosts
-	if s.Cfg.FleetMatrix {
-		n, width = len(s.Topo.Racks), fleetMatrixShardRacks
-	}
-	shards := (n + width - 1) / width
-	tasks := make([]fleetTask, 0, s.Cfg.FleetWindows*shards)
-	for w := 0; w < s.Cfg.FleetWindows; w++ {
-		for sh := 0; sh < shards; sh++ {
-			lo := sh * width
-			hi := min(lo+width, n)
-			tasks = append(tasks, fleetTask{window: w, shard: sh, lo: lo, hi: hi})
-		}
-	}
-	return tasks
+type fleetGrid struct {
+	spw, width, units int
 }
 
-// collectFleet runs the sharded synthetic day and merges the partials.
+// fleetGrid returns the current configuration's task grid.
+func (s *System) fleetGrid() fleetGrid {
+	g := fleetGrid{width: fleetShardHosts, units: s.Topo.NumHosts()}
+	if s.Cfg.FleetMatrix {
+		g.width, g.units = fleetMatrixShardRacks, len(s.Topo.Racks)
+	}
+	g.spw = (g.units + g.width - 1) / g.width
+	return g
+}
+
+// task returns the grid cell at grid index i.
+func (g fleetGrid) task(i int) fleetTask {
+	window, shard := i/g.spw, i%g.spw
+	lo := shard * g.width
+	return fleetTask{window: window, shard: shard, lo: lo, hi: min(lo+g.width, g.units)}
+}
+
+// cellScratch is one worker's cell-compute state: the tagger and the
+// mode's program are read-only and shared by every worker, the demand
+// matrix (matrix mode) is the worker's own, reset and reused across its
+// tasks so steady-state synthesis is allocation-free.
+type cellScratch struct {
+	tagger *fbflow.Tagger
+	prog   *services.FleetProgram
+	mprog  *services.MatrixProgram
+	mat    *services.DemandMatrix
+}
+
+// newCellScratch returns one cellScratch per worker.
+func (s *System) newCellScratch(tagger *fbflow.Tagger, workers int) []cellScratch {
+	sc := cellScratch{tagger: tagger}
+	if s.Cfg.FleetMatrix {
+		sc.mprog = services.NewMatrixProgram(s.Pick, s.Cfg.Params)
+	} else {
+		sc.prog = services.NewFleetProgram(s.Pick, s.Cfg.Params)
+	}
+	out := make([]cellScratch, workers)
+	for i := range out {
+		out[i] = sc
+		if sc.mprog != nil {
+			out[i].mat = services.NewDemandMatrix()
+		}
+	}
+	return out
+}
+
+// computeCell runs task t into p, counting into sh (nil when
+// observability is off), and returns the cell's checkpoints (zero when
+// auditing is off). Every collection path — in-process workers, the
+// serve loop, remote agents — computes cells here.
+func (s *System) computeCell(sc *cellScratch, t fleetTask, p *fbflow.Partial, sh *obs.Shard) cellAudit {
+	var t0 time.Time
+	if sh != nil {
+		t0 = time.Now()
+	}
+	var fh, mh *audit.Hash
+	var fhv, mhv audit.Hash
+	if s.Cfg.Audit.Enabled() {
+		fh = &fhv
+		if s.Cfg.FleetMatrix {
+			mh = &mhv
+		}
+	}
+	if s.Cfg.FleetMatrix {
+		s.collectMatrixShard(sc, t, p, sh, fh, mh)
+	} else {
+		s.collectShard(sc, t, p, sh, fh)
+	}
+	var a cellAudit
+	if fh != nil {
+		a.fleet = audit.Checkpoint{Stage: audit.StageFleetCollect, Window: t.window, Shard: t.shard, Sum: fhv.Sum(), Count: fhv.Count()}
+	}
+	if mh != nil {
+		a.synth = audit.Checkpoint{Stage: audit.StageMatrixSynth, Window: t.window, Shard: t.shard, Sum: mhv.Sum(), Count: mhv.Count()}
+	}
+	if sh != nil {
+		sh.Observe(s.obsIDs.fleetShardUs, time.Since(t0).Microseconds())
+	}
+	return a
+}
+
+// collectFleet runs the sharded synthetic day through the merge
+// frontier.
 //
 // Completed shards merge as soon as the task-order frontier reaches them
 // (a worker finishing task i out of order parks it until every earlier
-// task has merged), and merged partials return to a pool for reuse. The
-// merge sequence is therefore exactly task order — bit-identical across
-// worker counts — while live memory stays bounded by the worker count
-// plus the out-of-order window instead of the full task grid, which is
-// what keeps the 10× fleet preset collectable.
+// task has merged), and merged envelopes return to the frontier for
+// reuse. The merge sequence is therefore exactly task order —
+// bit-identical across worker counts — while live memory stays bounded
+// by the worker count plus the out-of-order window instead of the full
+// task grid, which is what keeps the 10× fleet preset collectable.
 //
-// Each task's obs shard parks and folds at the same frontier as its
-// partial, so the registry's fold sequence is task order too: metric
-// state at any frontier is reproducible at any worker count, and a live
-// scrape can never observe half a shard.
+// Each task's obs shard and checkpoints fold at the same frontier as its
+// partial, so the registry's fold sequence and the ledger are task order
+// too: metric state at any frontier is reproducible at any worker
+// count, and a live scrape can never observe half a shard.
 func (s *System) collectFleet() *fbflow.Dataset {
 	reg := s.Cfg.Obs
 	sp := reg.StartSpan("fleet-collect")
 	defer sp.End()
-	aud := s.Cfg.Audit
-	bb := aud.BB()
+	bb := s.Cfg.Audit.BB()
 	bb.Record(audit.EvStageEnter, audit.StageFleetCollect, 0, 0)
 	defer bb.Record(audit.EvStageExit, audit.StageFleetCollect, 0, 0)
 
-	tasks := s.fleetTasks()
-	tagger := fbflow.NewTagger(s.Topo)
+	cells := s.fleetGrid().spw * s.Cfg.FleetWindows
 	ds := fbflow.NewDataset()
-
-	workers := s.Cfg.TaggerWorkers()
-	if workers > len(tasks) {
-		workers = len(tasks)
-	}
-	var prog *services.FleetProgram
-	var mprog *services.MatrixProgram
-	var mats []*services.DemandMatrix
-	if s.Cfg.FleetMatrix {
-		mprog = services.NewMatrixProgram(s.Pick, s.Cfg.Params)
-		// One demand matrix per worker, reused (Reset, not reallocated)
-		// across every task the worker runs: steady-state synthesis is
-		// allocation-free.
-		mats = make([]*services.DemandMatrix, workers)
-		for i := range mats {
-			mats[i] = services.NewDemandMatrix()
-		}
-	} else {
-		prog = services.NewFleetProgram(s.Pick, s.Cfg.Params)
-	}
-	shardsPerWindow := 0
-	if s.Cfg.FleetWindows > 0 {
-		shardsPerWindow = len(tasks) / s.Cfg.FleetWindows
-	}
-	winProg := reg.NewProgress("fleet-windows", int64(s.Cfg.FleetWindows))
+	f := &frontier{s: s, prog: reg.NewProgress("fleet-windows", int64(s.Cfg.FleetWindows))}
+	f.reset(ds, 0, cells)
+	workers := min(s.Cfg.TaggerWorkers(), cells)
 	busyNs := make([]int64, workers+1) // worker-owned slots, summed after the run
 	collectStart := time.Now()
-
-	var (
-		mu        sync.Mutex
-		parked    = make([]*fbflow.Partial, len(tasks))
-		parkedObs = make([]*obs.Shard, len(tasks))
-		done      = make([]bool, len(tasks))
-		next      int
-		pool      = sync.Pool{New: func() any {
-			p := fbflow.NewPartial()
-			if s.Cfg.SketchMode {
-				p.EnableCardinality()
-			}
-			return p
-		}}
-		obsPool = sync.Pool{New: func() any { return reg.NewShard() }}
-	)
-	// Parked checkpoint values (no pointers: the arrays are written once
-	// per task by its worker and read at the frontier under mu, exactly
-	// like done[]). parkedAudM exists only in matrix mode, where each cell
-	// carries a second matrix-synth checkpoint.
-	var parkedAudF, parkedAudM []audit.Checkpoint
-	if aud.Enabled() {
-		parkedAudF = make([]audit.Checkpoint, len(tasks))
-		if s.Cfg.FleetMatrix {
-			parkedAudM = make([]audit.Checkpoint, len(tasks))
-		}
-	}
-	runParallelWorkers(workers, len(tasks), func(w, i int) {
-		var t0 time.Time
-		if reg.Enabled() {
-			t0 = time.Now()
-		}
-		p := pool.Get().(*fbflow.Partial)
-		sh := obsPool.Get().(*obs.Shard)
-		var fh, mh *audit.Hash
-		var fhv, mhv audit.Hash
-		if aud.Enabled() {
-			fh = &fhv
-			if s.Cfg.FleetMatrix {
-				mh = &mhv
-			}
-		}
-		if s.Cfg.FleetMatrix {
-			s.collectMatrixShard(tagger, mprog, tasks[i], mats[w], p, sh, fh, mh)
-		} else {
-			s.collectShard(tagger, prog, tasks[i], p, sh, fh)
-		}
-		if aud.Enabled() {
-			t := tasks[i]
-			parkedAudF[i] = audit.Checkpoint{Stage: audit.StageFleetCollect, Window: t.window, Shard: t.shard, Sum: fhv.Sum(), Count: fhv.Count()}
-			if parkedAudM != nil {
-				parkedAudM[i] = audit.Checkpoint{Stage: audit.StageMatrixSynth, Window: t.window, Shard: t.shard, Sum: mhv.Sum(), Count: mhv.Count()}
-			}
-		}
-		if reg.Enabled() {
-			d := time.Since(t0)
-			sh.Observe(s.obsIDs.fleetShardUs, d.Microseconds())
-			busyNs[w] += d.Nanoseconds()
-		}
-		mu.Lock()
-		parked[i], parkedObs[i], done[i] = p, sh, true
-		mergeStart := next
-		for next < len(tasks) && done[next] {
-			q, qs := parked[next], parkedObs[next]
-			parked[next], parkedObs[next] = nil, nil
-			ds.MergePartial(q)
-			q.Reset()
-			pool.Put(q)
-			qs.Fold()
-			obsPool.Put(qs)
-			if aud.Enabled() {
-				if parkedAudM != nil {
-					aud.Append(parkedAudM[next])
-				}
-				aud.Append(parkedAudF[next])
-				bb.Record(audit.EvCellMerge, audit.StageFleetCollect, int64(tasks[next].window), int64(tasks[next].shard))
-			}
-			next++
-		}
-		if reg.Enabled() && next > mergeStart && shardsPerWindow > 0 {
-			winProg.Set(int64(next / shardsPerWindow))
-		}
-		mu.Unlock()
-	})
+	s.collectCells(f, fbflow.NewTagger(s.Topo), workers, busyNs)
 
 	if reg.Enabled() {
-		winProg.Set(int64(s.Cfg.FleetWindows))
+		f.prog.Set(int64(s.Cfg.FleetWindows))
 		elapsed := time.Since(collectStart).Nanoseconds()
 		var busy int64
 		for _, b := range busyNs {
@@ -245,13 +210,40 @@ func (s *System) collectFleet() *fbflow.Dataset {
 	return ds
 }
 
+// collectCells computes every cell the armed frontier f spans on up to
+// workers tagger workers and merges them through f. busyNs, when
+// non-nil, receives each worker's compute time (observability on only).
+func (s *System) collectCells(f *frontier, tagger *fbflow.Tagger, workers int, busyNs []int64) {
+	grid := s.fleetGrid()
+	scratch := s.newCellScratch(tagger, workers)
+	var mu sync.Mutex
+	runParallelWorkers(workers, len(f.slots), func(w, i int) {
+		mu.Lock()
+		c := f.get()
+		mu.Unlock()
+		var t0 time.Time
+		if busyNs != nil && c.sh != nil {
+			t0 = time.Now()
+		}
+		c.aud = s.computeCell(&scratch[w], grid.task(f.base+i), c.p, c.sh)
+		if !t0.IsZero() {
+			busyNs[w] += time.Since(t0).Nanoseconds()
+		}
+		mu.Lock()
+		f.park(i, c)
+		f.advance()
+		mu.Unlock()
+	})
+}
+
 // collectMatrixShard synthesizes one rack-range shard's demand matrix and
-// draws its flows into the caller's partial. The matrix is reused across
-// tasks (Reset keeps its backing arrays), so the steady state allocates
-// nothing. The rng stream is keyed by (seed, window, shard) exactly like
+// draws its flows into the caller's partial. The worker's matrix is
+// reused across tasks (Reset keeps its backing arrays), so the steady
+// state allocates nothing. The rng stream is keyed by (seed, window, shard) exactly like
 // sampling mode — a distinct seed fold keeps the two modes' streams
 // decorrelated.
-func (s *System) collectMatrixShard(tagger *fbflow.Tagger, prog *services.MatrixProgram, t fleetTask, m *services.DemandMatrix, into *fbflow.Partial, sh *obs.Shard, fh, mh *audit.Hash) {
+func (s *System) collectMatrixShard(sc *cellScratch, t fleetTask, into *fbflow.Partial, sh *obs.Shard, fh, mh *audit.Hash) {
+	tagger, prog, m := sc.tagger, sc.mprog, sc.mat
 	r := rng.NewKeyed(s.Cfg.Seed^0x3a721c, uint64(t.window), uint64(t.shard))
 	load := DiurnalFactor(float64(t.window) / float64(s.Cfg.FleetWindows))
 	minute := int64(t.window)
@@ -283,7 +275,8 @@ func (s *System) collectMatrixShard(tagger *fbflow.Tagger, prog *services.Matrix
 // configuration time, not at scheduling time. The obs shard counts
 // offered versus sampled flows; a nil shard (observability disabled)
 // costs two predicted branches per flow.
-func (s *System) collectShard(tagger *fbflow.Tagger, prog *services.FleetProgram, t fleetTask, into *fbflow.Partial, sh *obs.Shard, fh *audit.Hash) {
+func (s *System) collectShard(sc *cellScratch, t fleetTask, into *fbflow.Partial, sh *obs.Shard, fh *audit.Hash) {
+	tagger, prog := sc.tagger, sc.prog
 	r := rng.NewKeyed(s.Cfg.Seed^0xf1ee7, uint64(t.window), uint64(t.shard))
 	load := DiurnalFactor(float64(t.window) / float64(s.Cfg.FleetWindows))
 	minute := int64(t.window)

@@ -3,11 +3,13 @@ package core
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math"
 	"strings"
 	"testing"
 
 	"fbdcnet/internal/obs"
+	"fbdcnet/internal/obs/audit"
 )
 
 // serveConfig returns a tiny config for fast serve windows.
@@ -90,6 +92,53 @@ func TestServeReproducesBatch(t *testing.T) {
 	}
 	if rel := math.Abs(served-batch) / batch; rel > 1e-9 {
 		t.Fatalf("serve total %v vs batch total %v (rel err %g)", served, batch, rel)
+	}
+}
+
+// TestServeAuditMatchesBatch pins the serve loop's audit path: N
+// windows under a recorder append exactly the checkpoints batch
+// FleetDataset appends for windows 0..N-1 — one fleet-collect checkpoint
+// per cell, plus one matrix-synth checkpoint per cell in matrix mode —
+// and the black box records one cell-merge event per merged cell, as
+// batch collection does.
+func TestServeAuditMatchesBatch(t *testing.T) {
+	for _, matrix := range []bool{false, true} {
+		cfg := serveConfig()
+		cfg.FleetMatrix = matrix
+		n := cfg.FleetWindows - 1
+		var want []audit.Checkpoint
+		for _, cp := range auditLedger(t, cfg) {
+			if cp.Window < n {
+				want = append(want, cp)
+			}
+		}
+
+		cfg.Audit = audit.New()
+		bb := audit.NewBlackBox(4096)
+		cfg.Audit.SetBlackBox(bb)
+		if err := MustNewSystem(cfg).Serve(context.Background(), ServeOptions{Windows: n}); err != nil {
+			t.Fatal(err)
+		}
+		got := cfg.Audit.Checkpoints()
+		requireIdentical(t, fmt.Sprintf("matrix=%v", matrix), want, got)
+
+		stages := map[string]int{}
+		for _, cp := range got {
+			stages[cp.Stage]++
+		}
+		cells := stages[audit.StageFleetCollect]
+		if cells == 0 || matrix && stages[audit.StageMatrixSynth] != cells || !matrix && stages[audit.StageMatrixSynth] != 0 {
+			t.Fatalf("matrix=%v: serve ledger stages %v", matrix, stages)
+		}
+		merges := 0
+		for _, ev := range bb.Events() {
+			if ev.Kind == audit.EvCellMerge {
+				merges++
+			}
+		}
+		if merges != cells {
+			t.Fatalf("matrix=%v: black box recorded %d cell merges for %d cells", matrix, merges, cells)
+		}
 	}
 }
 

@@ -1,29 +1,29 @@
 // Package fbwire is the binary stream protocol between distributed fleet
 // agents and the fbflowd aggregator — the Scribe leg of the paper's
 // Fbflow pipeline (§3.3.1), reduced to what the reproduction needs: a
-// handshake, then length-prefixed partial frames in task order.
+// handshake, then one length-prefixed CELL frame per task cell in task
+// order.
 //
 // A session over one connection looks like:
 //
 //	agent → HELLO   (agent identity, shard range, incarnation, config check)
 //	agent ← WELCOME (resume task index — 0 for a fresh run, later after a
 //	                 crash: the aggregator skips the died window's tail)
-//	agent → PARTIAL × n  (seq, window, shard, fbflow.Partial payload)
-//	agent → FIN     (frames sent, for accounting)
+//	agent → CELL × n  (seq, window, shard, optional obs and audit
+//	                   sections, fbflow.Partial dataset section)
+//	agent → FIN     (cells sent, optional agent report)
 //
-// When observability is on, each PARTIAL is preceded by an OBS frame
-// carrying that cell's metric delta (bound to the same seq), and one
-// final OBS frame with the agent's report precedes FIN. OBS frames are
-// optional and opaque at this layer — an aggregator that cannot decode
-// one drops it without touching the dataset protocol. With the
-// determinism flight recorder on, one AUDIT frame per checkpoint stage
-// (two in matrix mode) precedes each PARTIAL under the same seq and the
-// same best-effort rules: a dropped AUDIT frame becomes an explicit
-// ledger hole, never a dataset error.
+// The dataset section of a CELL frame is strict: the Reader enforces
+// strictly increasing seqs, so a duplicated or replayed frame fails in
+// the decoder itself, and a dataset section that does not decode kills
+// the connection. The obs section (the cell's metric delta, opaque at
+// this layer) and the audit section (the cell's determinism
+// checkpoints) are best-effort: an aggregator that cannot decode one
+// drops that section — the obs delta is lost, the audit checkpoints
+// become an explicit ledger hole — and still merges the cell. FIN's
+// report section (the agent's once-per-incarnation observability
+// report) is best-effort the same way.
 //
-// PARTIAL frames carry the agent-local task sequence number and the
-// Reader enforces strict monotonicity, so a duplicated or replayed frame
-// fails in the decoder itself rather than corrupting aggregation state.
 // Every length and count is bounds-checked against hard caps: corrupt
 // input errors, it never panics and never drives an unbounded read.
 //
@@ -36,37 +36,24 @@ package fbwire
 import (
 	"bufio"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"io"
 
 	"fbdcnet/internal/fbflow"
 )
 
-// Version identifies the protocol revision carried in HELLO.
-const Version = 1
+// Version identifies the protocol revision carried in HELLO; a peer
+// speaking another revision fails the handshake.
+const Version = 2
 
 // Frame types.
 const (
 	TypeHello   = 0x01
 	TypeWelcome = 0x02
-	TypePartial = 0x03
+	TypeCell    = 0x03
 	TypeFin     = 0x04
-	TypeObs     = 0x05
-	TypeAudit   = 0x06
 )
-
-// Obs payload kinds. ObsCell carries one cell's metric delta and
-// precedes the PARTIAL frame with the same seq on the wire, so the delta
-// is always parked by the time the merge frontier consumes the cell.
-// ObsFinal carries the agent's once-per-incarnation report, sent right
-// before FIN (its seq is 0).
-const (
-	ObsCell  = 0x01
-	ObsFinal = 0x02
-)
-
-// obsHeaderLen is the OBS payload prefix before the opaque obs body.
-const obsHeaderLen = 1 + 8
 
 // MaxFrameBytes caps one frame's payload: larger than any real window
 // partial (a full large-preset window encodes to a few MiB) but small
@@ -76,8 +63,33 @@ const MaxFrameBytes = 1 << 28
 // helloWireLen is the fixed HELLO payload size after the type byte.
 const helloWireLen = 2 + 4*5 + 8
 
-// partialHeaderLen is the PARTIAL payload prefix before the fbflow bytes.
+// partialHeaderLen is the CELL header before the section flags: seq,
+// window, shard.
 const partialHeaderLen = 8 + 4 + 4
+
+// cellHeaderLen is the full CELL prefix before the optional sections.
+const cellHeaderLen = partialHeaderLen + 1
+
+// CELL section flags.
+const (
+	flagObs   = 0x01
+	flagAudit = 0x02
+)
+
+// Audit stage ids on the wire. AuditFleetCell is the cell's collected
+// record stream; AuditMatrixSynth is the synthesized demand matrix that
+// preceded the draw (matrix mode only).
+const (
+	AuditFleetCell   = 0x01
+	AuditMatrixSynth = 0x02
+)
+
+// MaxCheckpoints caps one audit section: a cell carries at most its
+// matrix-synth and fleet-collect checkpoints.
+const MaxCheckpoints = 2
+
+// checkpointWireLen is one audit-section entry: stage, sum, count.
+const checkpointWireLen = 1 + 8 + 8
 
 // Hello is the agent's opening announcement.
 type Hello struct {
@@ -90,11 +102,31 @@ type Hello struct {
 	Check       uint64 // config fingerprint; both sides must agree
 }
 
-// PartialHeader addresses one PARTIAL frame's cell.
+// PartialHeader addresses one CELL frame's cell.
 type PartialHeader struct {
 	Seq    uint64 // agent-local task index, strictly increasing
 	Window uint32
 	Shard  uint32
+}
+
+// Checkpoint is one audit-section entry: the sealed content hash and
+// folded item count of one checkpoint stage of the frame's cell.
+type Checkpoint struct {
+	Stage byte
+	Sum   uint64
+	Count int64
+}
+
+// Sections are a CELL frame's optional sections as decoded by
+// DecodeCell. Obs aliases the frame payload (and therefore the Reader's
+// buffer). A section that is present but malformed is reported through
+// its error and otherwise left empty: the caller drops and counts it.
+type Sections struct {
+	Obs      []byte // opaque obs delta; nil when absent
+	Audit    [MaxCheckpoints]Checkpoint
+	NAudit   int   // valid entries in Audit
+	HasAudit bool  // the frame carried an audit section
+	AuditErr error // non-nil: the audit section was malformed and dropped
 }
 
 // Writer frames and writes the agent side of the protocol. Not safe for
@@ -154,114 +186,53 @@ func (w *Writer) WriteWelcome(resume uint64) error {
 	return w.flushFrame()
 }
 
-// WritePartial sends one cell's partial. The encode reuses the writer's
-// buffer, so the steady state allocates nothing.
+// WritePartial sends one cell's partial as a CELL frame with no
+// optional sections.
 func (w *Writer) WritePartial(h PartialHeader, p *fbflow.Partial) error {
-	b := w.begin(TypePartial)
+	return w.WriteCell(h, p, nil, nil)
+}
+
+// WriteCell sends one cell: the obs section when obs is non-empty, the
+// audit section when aud is non-empty (at most MaxCheckpoints entries),
+// then the partial. The encode reuses the writer's buffer, so the
+// steady state allocates nothing.
+func (w *Writer) WriteCell(h PartialHeader, p *fbflow.Partial, obs []byte, aud []Checkpoint) error {
+	if len(aud) > MaxCheckpoints {
+		return fmt.Errorf("fbwire: %d checkpoints exceed the cap of %d", len(aud), MaxCheckpoints)
+	}
+	var flags byte
+	if len(obs) > 0 {
+		flags |= flagObs
+	}
+	if len(aud) > 0 {
+		flags |= flagAudit
+	}
+	b := w.begin(TypeCell)
 	b = binary.LittleEndian.AppendUint64(b, h.Seq)
 	b = binary.LittleEndian.AppendUint32(b, h.Window)
 	b = binary.LittleEndian.AppendUint32(b, h.Shard)
+	b = append(b, flags)
+	if flags&flagObs != 0 {
+		b = binary.LittleEndian.AppendUint32(b, uint32(len(obs)))
+		b = append(b, obs...)
+	}
+	if flags&flagAudit != 0 {
+		b = append(b, byte(len(aud)))
+		for _, c := range aud {
+			b = append(b, c.Stage)
+			b = binary.LittleEndian.AppendUint64(b, c.Sum)
+			b = binary.LittleEndian.AppendUint64(b, uint64(c.Count))
+		}
+	}
 	w.buf = p.AppendBinary(b)
 	return w.flushFrame()
 }
 
-// WriteObs sends one observability frame: an ObsCell delta bound to the
-// PARTIAL seq it precedes, or an ObsFinal agent report. The body is the
-// internal/obs wire payload, opaque to this layer; the encode reuses the
-// writer's buffer, so the steady state allocates nothing.
-func (w *Writer) WriteObs(kind byte, seq uint64, body []byte) error {
-	b := w.begin(TypeObs)
-	b = append(b, kind)
-	b = binary.LittleEndian.AppendUint64(b, seq)
-	w.buf = append(b, body...)
-	return w.flushFrame()
-}
-
-// ObsHeader addresses one OBS frame's body.
-type ObsHeader struct {
-	Kind byte
-	Seq  uint64 // for ObsCell: the seq of the PARTIAL this delta belongs to
-}
-
-// ParseObs splits an OBS payload into its header and opaque body. The
-// body aliases the payload (and therefore the Reader's buffer).
-func ParseObs(payload []byte) (ObsHeader, []byte, error) {
-	if len(payload) < obsHeaderLen {
-		return ObsHeader{}, nil, fmt.Errorf("fbwire: obs frame header truncated (%d bytes)", len(payload))
-	}
-	h := ObsHeader{Kind: payload[0], Seq: binary.LittleEndian.Uint64(payload[1:])}
-	if h.Kind != ObsCell && h.Kind != ObsFinal {
-		return ObsHeader{}, nil, fmt.Errorf("fbwire: unknown obs kind %#x", h.Kind)
-	}
-	return h, payload[obsHeaderLen:], nil
-}
-
-// Audit stage ids on the wire. AuditFleetCell is the cell's collected
-// record stream; AuditMatrixSynth is the synthesized demand matrix that
-// preceded the draw (matrix mode only).
-const (
-	AuditFleetCell   = 0x01
-	AuditMatrixSynth = 0x02
-)
-
-// auditWireLen is the fixed AUDIT payload size after the type byte.
-const auditWireLen = 1 + 8 + 4 + 4 + 8 + 8
-
-// AuditCell is one cell's determinism checkpoint: the sealed content
-// hash and folded item count of (stage, window, shard), bound to the
-// PARTIAL seq it precedes. Like OBS frames, AUDIT frames are
-// best-effort: an aggregator that cannot decode one drops it (the cell
-// becomes an explicit ledger hole) without touching the dataset
-// protocol.
-type AuditCell struct {
-	Stage  byte
-	Seq    uint64
-	Window uint32
-	Shard  uint32
-	Sum    uint64
-	Count  int64
-}
-
-// WriteAudit sends one cell checkpoint. The encode reuses the writer's
-// buffer, so the steady state allocates nothing.
-func (w *Writer) WriteAudit(c AuditCell) error {
-	b := w.begin(TypeAudit)
-	b = append(b, c.Stage)
-	b = binary.LittleEndian.AppendUint64(b, c.Seq)
-	b = binary.LittleEndian.AppendUint32(b, c.Window)
-	b = binary.LittleEndian.AppendUint32(b, c.Shard)
-	b = binary.LittleEndian.AppendUint64(b, c.Sum)
-	b = binary.LittleEndian.AppendUint64(b, uint64(c.Count))
-	w.buf = b
-	return w.flushFrame()
-}
-
-// ParseAudit decodes an AUDIT payload.
-func ParseAudit(payload []byte) (AuditCell, error) {
-	if len(payload) != auditWireLen {
-		return AuditCell{}, fmt.Errorf("fbwire: audit payload is %d bytes, want %d", len(payload), auditWireLen)
-	}
-	c := AuditCell{
-		Stage:  payload[0],
-		Seq:    binary.LittleEndian.Uint64(payload[1:]),
-		Window: binary.LittleEndian.Uint32(payload[9:]),
-		Shard:  binary.LittleEndian.Uint32(payload[13:]),
-		Sum:    binary.LittleEndian.Uint64(payload[17:]),
-		Count:  int64(binary.LittleEndian.Uint64(payload[25:])),
-	}
-	if c.Stage != AuditFleetCell && c.Stage != AuditMatrixSynth {
-		return AuditCell{}, fmt.Errorf("fbwire: unknown audit stage %#x", c.Stage)
-	}
-	if c.Count < 0 {
-		return AuditCell{}, fmt.Errorf("fbwire: audit count %d is negative", c.Count)
-	}
-	return c, nil
-}
-
-// WriteFin sends the closing FIN frame carrying the number of PARTIAL
-// frames this incarnation sent.
-func (w *Writer) WriteFin(sent uint64) error {
-	w.buf = binary.LittleEndian.AppendUint64(w.begin(TypeFin), sent)
+// WriteFin sends the closing FIN frame: the number of CELL frames this
+// incarnation sent, then the optional agent report (omitted when empty).
+func (w *Writer) WriteFin(sent uint64, report []byte) error {
+	b := binary.LittleEndian.AppendUint64(w.begin(TypeFin), sent)
+	w.buf = append(b, report...)
 	return w.flushFrame()
 }
 
@@ -280,7 +251,7 @@ type Reader struct {
 	pfx     [4]byte // length-prefix scratch; a field so ReadFull doesn't heap-escape it
 	read    int64
 	seenSeq bool
-	lastSeq uint64 // last PARTIAL seq, valid when seenSeq
+	lastSeq uint64 // last CELL seq, valid when seenSeq
 }
 
 // NewReader returns a Reader framing off r.
@@ -323,19 +294,18 @@ func (r *Reader) Next() (Frame, error) {
 	r.read += int64(4 + n)
 	f := Frame{Type: r.buf[0], Payload: r.buf[1:]}
 	switch f.Type {
-	case TypeHello, TypeWelcome, TypePartial, TypeFin, TypeObs, TypeAudit:
-	default:
-		return Frame{}, fmt.Errorf("fbwire: unknown frame type %#x", f.Type)
-	}
-	if f.Type == TypePartial {
-		if len(f.Payload) < partialHeaderLen {
-			return Frame{}, fmt.Errorf("fbwire: partial frame header truncated (%d bytes)", len(f.Payload))
+	case TypeHello, TypeWelcome, TypeFin:
+	case TypeCell:
+		if len(f.Payload) < cellHeaderLen {
+			return Frame{}, fmt.Errorf("fbwire: cell frame header truncated (%d bytes)", len(f.Payload))
 		}
 		seq := binary.LittleEndian.Uint64(f.Payload)
 		if r.seenSeq && seq <= r.lastSeq {
-			return Frame{}, fmt.Errorf("fbwire: partial frame seq %d duplicates or reorders (last %d)", seq, r.lastSeq)
+			return Frame{}, fmt.Errorf("fbwire: cell frame seq %d duplicates or reorders (last %d)", seq, r.lastSeq)
 		}
 		r.seenSeq, r.lastSeq = true, seq
+	default:
+		return Frame{}, fmt.Errorf("fbwire: unknown frame type %#x", f.Type)
 	}
 	return f, nil
 }
@@ -371,27 +341,100 @@ func ParseWelcome(payload []byte) (uint64, error) {
 	return binary.LittleEndian.Uint64(payload), nil
 }
 
-// ParseFin decodes a FIN payload.
-func ParseFin(payload []byte) (uint64, error) {
-	if len(payload) != 8 {
-		return 0, fmt.Errorf("fbwire: fin payload is %d bytes, want 8", len(payload))
+// ParseFin decodes a FIN payload: the sent count and the report section
+// (nil when absent; it aliases the payload).
+func ParseFin(payload []byte) (sent uint64, report []byte, err error) {
+	if len(payload) < 8 {
+		return 0, nil, fmt.Errorf("fbwire: fin payload is %d bytes, want at least 8", len(payload))
 	}
-	return binary.LittleEndian.Uint64(payload), nil
+	if len(payload) > 8 {
+		report = payload[8:]
+	}
+	return binary.LittleEndian.Uint64(payload), report, nil
 }
 
-// DecodePartial decodes a PARTIAL payload's header and body into a
-// reusable Partial. The payload must come from a Frame of TypePartial.
+// DecodePartial decodes a CELL payload's header and dataset section into
+// a reusable Partial, skipping the optional sections. The payload must
+// come from a Frame of TypeCell.
 func DecodePartial(payload []byte, into *fbflow.Partial) (PartialHeader, error) {
-	if len(payload) < partialHeaderLen {
-		return PartialHeader{}, fmt.Errorf("fbwire: partial frame header truncated (%d bytes)", len(payload))
+	return DecodeCell(payload, into, nil)
+}
+
+// DecodeCell decodes a CELL payload: the header and dataset section into
+// into, strictly — any error means the frame is unusable — and, when sec
+// is non-nil, the optional sections into sec, best-effort.
+func DecodeCell(payload []byte, into *fbflow.Partial, sec *Sections) (PartialHeader, error) {
+	if len(payload) < cellHeaderLen {
+		return PartialHeader{}, fmt.Errorf("fbwire: cell frame header truncated (%d bytes)", len(payload))
 	}
 	h := PartialHeader{
 		Seq:    binary.LittleEndian.Uint64(payload),
 		Window: binary.LittleEndian.Uint32(payload[8:]),
 		Shard:  binary.LittleEndian.Uint32(payload[12:]),
 	}
-	if err := into.DecodeBinary(payload[partialHeaderLen:]); err != nil {
+	flags := payload[partialHeaderLen]
+	if flags&^(flagObs|flagAudit) != 0 {
+		return PartialHeader{}, fmt.Errorf("fbwire: cell frame has unknown section flags %#x", flags)
+	}
+	rest := payload[cellHeaderLen:]
+	if sec != nil {
+		*sec = Sections{}
+	}
+	if flags&flagObs != 0 {
+		if len(rest) < 4 {
+			return PartialHeader{}, errors.New("fbwire: cell obs section length truncated")
+		}
+		n := binary.LittleEndian.Uint32(rest)
+		if uint64(n) > uint64(len(rest)-4) {
+			return PartialHeader{}, fmt.Errorf("fbwire: cell obs section of %d bytes overruns the frame", n)
+		}
+		if sec != nil {
+			sec.Obs = rest[4 : 4+n]
+		}
+		rest = rest[4+n:]
+	}
+	if flags&flagAudit != 0 {
+		if len(rest) < 1 {
+			return PartialHeader{}, errors.New("fbwire: cell audit section count truncated")
+		}
+		size := 1 + int(rest[0])*checkpointWireLen
+		if size > len(rest) {
+			return PartialHeader{}, fmt.Errorf("fbwire: cell audit section of %d bytes overruns the frame", size)
+		}
+		if sec != nil {
+			sec.HasAudit = true
+			sec.NAudit, sec.AuditErr = parseAudit(rest[:size], &sec.Audit)
+		}
+		rest = rest[size:]
+	}
+	if err := into.DecodeBinary(rest); err != nil {
 		return PartialHeader{}, err
 	}
 	return h, nil
+}
+
+// parseAudit decodes an audit section (count byte, then entries) into
+// out. A malformed section yields zero entries and an error.
+func parseAudit(b []byte, out *[MaxCheckpoints]Checkpoint) (int, error) {
+	n := int(b[0])
+	if n > MaxCheckpoints {
+		return 0, fmt.Errorf("fbwire: audit section declares %d checkpoints (cap %d)", n, MaxCheckpoints)
+	}
+	b = b[1:]
+	for i := 0; i < n; i++ {
+		c := Checkpoint{
+			Stage: b[0],
+			Sum:   binary.LittleEndian.Uint64(b[1:]),
+			Count: int64(binary.LittleEndian.Uint64(b[9:])),
+		}
+		if c.Stage != AuditFleetCell && c.Stage != AuditMatrixSynth {
+			return 0, fmt.Errorf("fbwire: unknown audit stage %#x", c.Stage)
+		}
+		if c.Count < 0 {
+			return 0, fmt.Errorf("fbwire: audit count %d is negative", c.Count)
+		}
+		out[i] = c
+		b = b[checkpointWireLen:]
+	}
+	return n, nil
 }

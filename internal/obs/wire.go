@@ -7,9 +7,9 @@ import (
 	"math/bits"
 )
 
-// Wire form of the observability layer — the payload carried in
-// fbwire.TypeObs frames between distributed fleet agents and the
-// aggregator. Two payload shapes exist:
+// Wire form of the observability layer — the payloads distributed fleet
+// agents send the aggregator in the obs section of fbwire CELL frames
+// and the report section of FIN. Two payload shapes exist:
 //
 //   - Delta: the counter and histogram increments of exactly one
 //     (window, shard) cell, encoded straight out of the agent's
@@ -20,8 +20,8 @@ import (
 //     set: reproducible at any agent count, and a cell whose partial
 //     never merged (a coverage gap) contributes no metrics either.
 //
-//   - AgentReport: the per-process ephemera an agent ships once, right
-//     before FIN — gauges, labeled series, stage timing totals, and the
+//   - AgentReport: the per-process ephemera an agent ships once, on its
+//     FIN — gauges, labeled series, stage timing totals, and the
 //     span event ledger that the unified run timeline (obs/export) lays
 //     onto the shared clock. Reports describe processes, not cells; they
 //     are never folded into federated counters.
@@ -92,7 +92,7 @@ func readWireStr(data []byte, what string) ([]byte, []byte, error) {
 // reset the shard — callers Fold (or Reset via Fold) afterwards, so the
 // same increments also land in the agent's local registry. A nil shard
 // appends nothing and returns buf unchanged, which is how a metrics-off
-// agent sends no obs frames at all.
+// agent sends no obs sections at all.
 func (s *Shard) AppendDelta(buf []byte) []byte {
 	if s == nil {
 		return buf
@@ -267,7 +267,7 @@ type NamedValue struct {
 }
 
 // AgentReport is the once-per-incarnation snapshot a fleet agent sends
-// right before FIN: its per-process gauges and series, stage timing
+// on its FIN: its per-process gauges and series, stage timing
 // totals, and the span events the unified timeline renders.
 type AgentReport struct {
 	AgentID       uint32
