@@ -223,6 +223,7 @@ func BenchmarkFigure15_BufferOccupancy(b *testing.B) {
 	cfg := core.DefaultFigure15Config()
 	cfg.Windows = 8
 	var res *core.Figure15Result
+	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		res = s.Figure15(cfg)
 	}

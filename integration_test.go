@@ -119,14 +119,10 @@ func TestFabricCarriesTrace(t *testing.T) {
 
 	eng := &netsim.Engine{}
 	fabric := netsim.NewFabric(eng, topo, netsim.DefaultFabricConfig())
-	var injected int64
-	tr := services.NewTrace(pk, host, 606, services.DefaultParams(),
-		workload.CollectorFunc(func(h packet.Header) {
-			injected++
-			hh := h
-			eng.At(hh.Time, func() { fabric.Inject(hh) })
-		}))
-	tr.Run(2 * netsim.Second)
+	var trace workload.Stream
+	services.NewTrace(pk, host, 606, services.DefaultParams(), &trace).Run(2 * netsim.Second)
+	injected := int64(len(trace))
+	eng.Replay([][]packet.Header{trace}, 0, fabric.Inject)
 	eng.Run(3 * netsim.Second)
 
 	delivered := int64(0)

@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 	"math"
-	"sort"
 	"strings"
 
 	"fbdcnet/internal/baseline"
@@ -78,29 +77,35 @@ func (s *System) ExtensionIncast(senders []int, respBytes int, bufBytes int64) *
 		fabric.Sink(web).OnPacket = func(*netsim.Packet) { lastArrival = eng.Now() }
 
 		// Every sender's full response enters the fabric at t=0, segmented
-		// into MTU packets — the synchronized scatter-gather reply.
-		for i := 0; i < n; i++ {
+		// into MTU packets — the synchronized scatter-gather reply. Each
+		// sender's stream is paced at line rate; delays are measured from
+		// the request at t=0, so injected headers keep a zero timestamp.
+		streams := make([][]packet.Header, n)
+		for i := range streams {
 			src := caches.At(i)
 			remaining := respBytes
 			t := netsim.Time(0)
-			for seq := 0; remaining > 0; seq++ {
+			for remaining > 0 {
 				pl := remaining
 				if pl > 1448 {
 					pl = 1448
 				}
 				remaining -= pl
-				hdr := packet.Header{
+				streams[i] = append(streams[i], packet.Header{
+					Time: t,
 					Key: packet.FlowKey{
 						Src: s.Topo.Addr(src), Dst: s.Topo.Addr(web),
 						SrcPort: uint16(40000 + uint32(src)%20000), DstPort: 11211, Proto: packet.TCP,
 					},
 					Size: uint32(pl + 66),
-				}
-				at := t
-				eng.At(at, func() { fabric.Inject(hdr) })
+				})
 				t += 1200 // line-rate-ish pacing within a sender
 			}
 		}
+		eng.Replay(streams, 0, func(h packet.Header) {
+			h.Time = 0
+			fabric.Inject(h)
+		})
 		eng.Run(100 * netsim.Millisecond)
 
 		sink := fabric.Sink(web)
@@ -165,8 +170,9 @@ func (s *System) ExtensionOversubscription(role topology.Role, factors []float64
 
 	// One shared synthesized window of the rack's traffic, at elevated
 	// load so the sweep reaches drop onset within laptop-scale rates.
-	hdrs := s.rackWindow(rack, seconds, 0xc0de, 6)
-	return s.oversubSweep(role, rack, hdrs, factors, seconds)
+	streams := s.rackStreams([]int{rack}, s.Cfg.Params.Scaled(6), netsim.Time(seconds)*netsim.Second,
+		func(h topology.HostID) uint64 { return s.Cfg.Seed ^ 0xc0de ^ uint64(h)<<8 })
+	return s.oversubSweep(role, rack, streams, factors, seconds)
 }
 
 // ExtensionOversubAllToAll runs the same uplink sweep with the
@@ -177,22 +183,22 @@ func (s *System) ExtensionOversubscription(role topology.Role, factors []float64
 func (s *System) ExtensionOversubAllToAll(factors []float64, seconds int) *OversubResult {
 	host := s.Monitored(topology.RoleHadoop)
 	rack := s.Topo.HostRack(host)
-	var hdrs []packet.Header
-	collect := workload.CollectorFunc(func(p packet.Header) { hdrs = append(hdrs, p) })
-	for i := 0; i < int(s.Topo.Racks[rack].NumHosts); i++ {
+	streams := make([][]packet.Header, s.Topo.Racks[rack].NumHosts)
+	for i := range streams {
 		h := s.Topo.Racks[rack].Host(i)
+		var st workload.Stream
 		baseline.GenerateAllToAll(s.Topo, h, s.Cfg.Seed^0xa2a^uint64(h),
-			baseline.DefaultAllToAllParams(), netsim.Time(seconds)*netsim.Second, collect)
+			baseline.DefaultAllToAllParams(), netsim.Time(seconds)*netsim.Second, &st)
+		streams[i] = st
 	}
-	sort.SliceStable(hdrs, func(i, j int) bool { return hdrs[i].Time < hdrs[j].Time })
-	res := s.oversubSweep(topology.RoleHadoop, rack, hdrs, factors, seconds)
+	res := s.oversubSweep(topology.RoleHadoop, rack, streams, factors, seconds)
 	res.Workload = "all-to-all baseline"
 	return res
 }
 
-// oversubSweep replays one traffic window through fabrics with weakening
-// rack uplinks.
-func (s *System) oversubSweep(role topology.Role, rack int, hdrs []packet.Header, factors []float64, seconds int) *OversubResult {
+// oversubSweep replays one traffic window, per-host streams, through
+// fabrics with weakening rack uplinks.
+func (s *System) oversubSweep(role topology.Role, rack int, streams [][]packet.Header, factors []float64, seconds int) *OversubResult {
 	res := &OversubResult{Role: role}
 
 	for _, f := range factors {
@@ -201,10 +207,7 @@ func (s *System) oversubSweep(role topology.Role, rack int, hdrs []packet.Header
 		fcfg.RSWUpBps = int64(float64(fcfg.RSWUpBps) / f)
 		fabric := netsim.NewFabric(eng, s.Topo, fcfg)
 		rsw := fabric.RSW(rack)
-		for _, h := range hdrs {
-			h := h
-			eng.At(h.Time, func() { fabric.Inject(h) })
-		}
+		eng.Replay(streams, 0, fabric.Inject)
 		dur := netsim.Time(seconds) * netsim.Second
 		eng.Run(dur + netsim.Second)
 
@@ -227,21 +230,6 @@ func (s *System) oversubSweep(role topology.Role, rack int, hdrs []packet.Header
 		res.Points = append(res.Points, point)
 	}
 	return res
-}
-
-// rackWindow synthesizes and time-sorts one window of mirror traffic for
-// every host in a rack.
-func (s *System) rackWindow(rack, seconds int, salt uint64, boost float64) []packet.Header {
-	var hdrs []packet.Header
-	collect := workload.CollectorFunc(func(p packet.Header) { hdrs = append(hdrs, p) })
-	params := s.Cfg.Params.Scaled(boost)
-	for i := 0; i < int(s.Topo.Racks[rack].NumHosts); i++ {
-		h := s.Topo.Racks[rack].Host(i)
-		tr := services.NewTrace(s.Pick, h, s.Cfg.Seed^salt^uint64(h)<<8, params, collect)
-		tr.Run(netsim.Time(seconds) * netsim.Second)
-	}
-	sort.SliceStable(hdrs, func(i, j int) bool { return hdrs[i].Time < hdrs[j].Time })
-	return hdrs
 }
 
 // Render prints the oversubscription sweep.

@@ -1,16 +1,15 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
 
 	"fbdcnet/internal/analysis"
 	"fbdcnet/internal/netsim"
 	"fbdcnet/internal/packet"
-	"fbdcnet/internal/services"
 	"fbdcnet/internal/topology"
-	"fbdcnet/internal/workload"
 )
 
 // Degraded-mode experiments: re-run the paper's locality and heavy-hitter
@@ -72,39 +71,30 @@ func (s *System) degradedSeconds() int {
 	return sec
 }
 
-// degradedHeaders synthesizes (once per System) the shared workload of
+// degradedStreams synthesizes (once per System) the shared workload of
 // every fault arm: the mirror streams of all hosts in the monitored Web
-// and cache racks, merged in time order. Offered totals exclude loopback
+// and cache racks, one stream per host. Offered totals exclude loopback
 // headers, which the fabric ignores.
-func (s *System) degradedHeaders() []packet.Header {
+func (s *System) degradedStreams() [][]packet.Header {
 	s.degradedOnce.Do(func() {
-		sec := s.degradedSeconds()
-		horizon := netsim.Time(sec) * netsim.Second
 		webRack := s.Topo.HostRack(s.Monitored(topology.RoleWeb))
 		cacheRack := s.Topo.HostRack(s.Monitored(topology.RoleCacheFollower))
-
-		var hdrs []packet.Header
-		collect := workload.CollectorFunc(func(h packet.Header) { hdrs = append(hdrs, h) })
 		racks := []int{webRack, cacheRack}
 		if webRack == cacheRack {
 			racks = racks[:1]
 		}
-		for _, rack := range racks {
-			for i := 0; i < int(s.Topo.Racks[rack].NumHosts); i++ {
-				h := s.Topo.Racks[rack].Host(i)
-				seed := s.Cfg.Seed ^ 0xfa17<<24 ^ uint64(h)<<8
-				tr := services.NewTrace(s.Pick, h, seed, s.Cfg.Params, collect)
-				tr.Run(horizon)
+		horizon := netsim.Time(s.degradedSeconds()) * netsim.Second
+		s.degradedHdrs = s.rackStreams(racks, s.Cfg.Params, horizon, func(h topology.HostID) uint64 {
+			return s.Cfg.Seed ^ 0xfa17<<24 ^ uint64(h)<<8
+		})
+		for _, st := range s.degradedHdrs {
+			for _, h := range st {
+				if h.Key.Src == h.Key.Dst {
+					continue
+				}
+				s.degradedOffPkts++
+				s.degradedOffBytes += int64(h.Size)
 			}
-		}
-		sort.SliceStable(hdrs, func(i, j int) bool { return hdrs[i].Time < hdrs[j].Time })
-		s.degradedHdrs = hdrs
-		for _, h := range hdrs {
-			if h.Key.Src == h.Key.Dst {
-				continue
-			}
-			s.degradedOffPkts++
-			s.degradedOffBytes += int64(h.Size)
 		}
 	})
 	return s.degradedHdrs
@@ -125,7 +115,7 @@ func (s *System) runDegradedArm(scenario string, disableReroute bool) (DegradedM
 	sp := s.Cfg.Obs.StartSpan("degraded:" + armName)
 	defer sp.End()
 
-	hdrs := s.degradedHeaders()
+	streams := s.degradedStreams()
 	horizon := netsim.Time(s.degradedSeconds()) * netsim.Second
 	focus := s.Monitored(topology.RoleWeb)
 
@@ -145,10 +135,7 @@ func (s *System) runDegradedArm(scenario string, disableReroute bool) (DegradedM
 	for id := 0; id < s.Topo.NumHosts(); id++ {
 		fab.Sink(topology.HostID(id)).OnBatch = keep
 	}
-	for _, h := range hdrs {
-		h := h
-		eng.At(h.Time, func() { fab.Inject(h) })
-	}
+	eng.Replay(streams, 0, fab.Inject)
 	runSpan := s.Cfg.Obs.StartSpan("netsim-run")
 	eng.Run(horizon + faultDrainGrace)
 	runSpan.End()
@@ -159,7 +146,7 @@ func (s *System) runDegradedArm(scenario string, disableReroute bool) (DegradedM
 
 	// The delivered stream is ordered by delivery time; the analyses bin
 	// by the header timestamp, so restore that order first.
-	sort.SliceStable(delivered, func(i, j int) bool { return delivered[i].Time < delivered[j].Time })
+	slices.SortStableFunc(delivered, func(a, b packet.Header) int { return cmp.Compare(a.Time, b.Time) })
 
 	m := DegradedMetrics{LocalityBytes: map[string]float64{}}
 	hhRack := analysis.NewHeavyHitters(s.Topo, focus, analysis.LevelRack, netsim.Millisecond)
@@ -204,7 +191,7 @@ func (s *System) degradedBaseline() DegradedMetrics {
 func (s *System) DegradedFor(scenario string) *DegradedResult {
 	base := s.degradedBaseline()
 	deg, faults := s.runDegradedArm(scenario, false)
-	s.degradedHeaders() // ensure offered totals are populated
+	s.degradedStreams() // ensure offered totals are populated
 	return &DegradedResult{
 		Scenario:     scenario,
 		Seconds:      s.degradedSeconds(),

@@ -68,6 +68,8 @@ func TestObsNoPerturbation(t *testing.T) {
 		for _, counter := range []string{
 			"fbdcnet_fleet_flow_attempts_total",
 			"fbdcnet_netsim_injected_total",
+			"fbdcnet_netsim_events_total",
+			"fbdcnet_netsim_replayed_total",
 			"fbdcnet_workload_packets_total",
 			"fbdcnet_analysis_rows_total",
 		} {

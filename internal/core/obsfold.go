@@ -36,6 +36,9 @@ type coreObsIDs struct {
 	netsimRerouted    obs.CounterID
 	netsimRetransmits obs.CounterID
 	netsimFaultEvents obs.CounterID
+	netsimEvents      obs.CounterID // engine dispatches, replayed injections included
+	netsimReplayed    obs.CounterID
+	netsimHeapHigh    obs.HistID // per-run engine heap high-water
 
 	// Mirror-trace generation (workload layer).
 	tracePackets obs.CounterID
@@ -89,6 +92,12 @@ func (s *System) initObs() {
 		"retransmission attempts scheduled by the fault layer")
 	ids.netsimFaultEvents = r.Counter("fbdcnet_netsim_fault_events_total",
 		"fault onset transitions applied to fabric elements")
+	ids.netsimEvents = r.Counter("fbdcnet_netsim_events_total",
+		"events dispatched by fabric engines, replayed injections included")
+	ids.netsimReplayed = r.Counter("fbdcnet_netsim_replayed_total",
+		"headers injected into fabrics from replay sources")
+	ids.netsimHeapHigh = r.Histogram("fbdcnet_netsim_heap_high_water",
+		"most events queued at once in one fabric run's engine heap")
 
 	ids.tracePackets = r.Counter("fbdcnet_workload_packets_total",
 		"packet headers emitted by mirror-trace generators")
@@ -156,8 +165,9 @@ func (s *System) foldTableStats(stats []analysis.TableStats) {
 	}
 }
 
-// foldFabricStats folds one simulated-fabric run: the switch-level packet
-// accounting plus the fault layer's reroute/retransmission counters.
+// foldFabricStats folds one simulated-fabric run: the engine's dispatch
+// counters, the switch-level packet accounting and the fault layer's
+// reroute/retransmission counters.
 func (s *System) foldFabricStats(fab *netsim.Fabric) {
 	s.Cfg.Audit.BB().Record(audit.EvFault, "fabric-faults", fab.Faults().FaultEvents, 0)
 	r := s.Cfg.Obs
@@ -174,6 +184,10 @@ func (s *System) foldFabricStats(fab *netsim.Fabric) {
 	r.AddCounter(s.obsIDs.netsimRerouted, fs.ReroutedPkts)
 	r.AddCounter(s.obsIDs.netsimRetransmits, fs.Retransmits)
 	r.AddCounter(s.obsIDs.netsimFaultEvents, fs.FaultEvents)
+	es := fab.Eng.Stats()
+	r.AddCounter(s.obsIDs.netsimEvents, es.Fired)
+	r.AddCounter(s.obsIDs.netsimReplayed, es.Replayed)
+	r.Observe(s.obsIDs.netsimHeapHigh, es.HeapHigh)
 }
 
 // foldTelemetry folds the merged telemetry experiment result: path-

@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 
 	"fbdcnet/internal/analysis"
@@ -57,7 +56,7 @@ type Figure15Result struct {
 
 // Figure15 runs the packet-level switch experiment. Traffic for every
 // host in the two racks is synthesized per window (each host's mirror
-// stream), merged in time order, and injected into a full Clos fabric;
+// stream) and replayed, merged in time order, into a full Clos fabric;
 // the racks' RSWs are sampled at 10-µs granularity.
 func (s *System) Figure15(cfg Figure15Config) *Figure15Result {
 	eng := &netsim.Engine{}
@@ -86,23 +85,11 @@ func (s *System) Figure15(cfg Figure15Config) *Figure15Result {
 		start := netsim.Time(w) * winDur
 
 		// Synthesize each rack host's mirror stream for this window and
-		// collect it for time-ordered injection.
-		var hdrs []packet.Header
-		collect := workload.CollectorFunc(func(h packet.Header) { hdrs = append(hdrs, h) })
-		for _, rack := range []int{webRack, cacheRack} {
-			for i := 0; i < int(s.Topo.Racks[rack].NumHosts); i++ {
-				h := s.Topo.Racks[rack].Host(i)
-				seed := s.Cfg.Seed ^ 0xf15<<20 ^ uint64(h)<<8 ^ uint64(w)
-				tr := services.NewTrace(s.Pick, h, seed, params, collect)
-				tr.Run(winDur)
-			}
-		}
-		sort.SliceStable(hdrs, func(i, j int) bool { return hdrs[i].Time < hdrs[j].Time })
-		for _, h := range hdrs {
-			h := h
-			h.Time += int64(start)
-			eng.At(h.Time, func() { fabric.Inject(h) })
-		}
+		// replay the streams, merged in time order, into the fabric.
+		streams := s.rackStreams([]int{webRack, cacheRack}, params, winDur, func(h topology.HostID) uint64 {
+			return s.Cfg.Seed ^ 0xf15<<20 ^ uint64(h)<<8 ^ uint64(w)
+		})
+		eng.Replay(streams, start, fabric.Inject)
 
 		// Reset edge counters so per-window utilization is clean.
 		for _, l := range fabric.LinksByTier(netsim.TierHostRSW) {
@@ -125,6 +112,23 @@ func (s *System) Figure15(cfg Figure15Config) *Figure15Result {
 	res.WebMedian, res.WebMax = webBuf.Median(), webBuf.Max()
 	res.CacheMedian, res.CacheMax = cacheBuf.Median(), cacheBuf.Max()
 	return res
+}
+
+// rackStreams synthesizes dur of mirror traffic at params for every host
+// of racks, one stream per host in rack order: the input of
+// netsim.Engine.Replay. seed gives each host's trace seed.
+func (s *System) rackStreams(racks []int, params services.Params, dur netsim.Time, seed func(topology.HostID) uint64) [][]packet.Header {
+	var streams [][]packet.Header
+	for _, rack := range racks {
+		rk := &s.Topo.Racks[rack]
+		for i := 0; i < int(rk.NumHosts); i++ {
+			h := rk.Host(i)
+			var st workload.Stream
+			services.NewTrace(s.Pick, h, seed(h), params, &st).Run(dur)
+			streams = append(streams, st)
+		}
+	}
+	return streams
 }
 
 // rackEdgeUtil returns the mean utilization of a rack's host uplinks over

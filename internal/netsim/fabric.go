@@ -440,36 +440,47 @@ func (f *Fabric) inject(hdr packet.Header, tries uint8) {
 		p.Rec = f.telem.Start(hdr.Key, hdr.Size, tries, uint8(post), rerouted, int64(f.Eng.Now()))
 	}
 
+	// The hop list is allocated once, at the size the locality needs.
 	var hops []hop
-	push := func(n Node, port int) { hops = append(hops, hop{n, port}) }
-
 	switch {
 	case rs == rd:
-		push(f.rsws[rs], f.hostPort[dst.ID])
+		hops = []hop{{f.rsws[rs], f.hostPort[dst.ID]}}
 	case cs == cd:
-		push(f.rsws[rs], f.rswUpPort[rs][post])
-		push(f.csws[cs][post], f.cswDownPort[cs][post][f.rackPosInCl[rd]])
-		push(f.rsws[rd], f.hostPort[dst.ID])
-	case ds == dd:
-		push(f.rsws[rs], f.rswUpPort[rs][post])
-		push(f.csws[cs][post], f.cswUpPort[cs][post])
-		push(f.fcs[ds][post], f.fcDownPort[ds][post][f.clPosInDC[cd]])
-		push(f.csws[cd][post], f.cswDownPort[cd][post][f.rackPosInCl[rd]])
-		push(f.rsws[rd], f.hostPort[dst.ID])
-	default:
-		push(f.rsws[rs], f.rswUpPort[rs][post])
-		push(f.csws[cs][post], f.cswUpPort[cs][post])
-		push(f.fcs[ds][post], f.fcUpPort[ds][post])
-		push(f.dcrs[ds], f.dcrUpPort[ds])
-		if ss != sd {
-			push(f.aggs[ss], f.aggUpPort[ss])
-			push(f.bb, f.bbDownPort[sd])
+		hops = []hop{
+			{f.rsws[rs], f.rswUpPort[rs][post]},
+			{f.csws[cs][post], f.cswDownPort[cs][post][f.rackPosInCl[rd]]},
+			{f.rsws[rd], f.hostPort[dst.ID]},
 		}
-		push(f.aggs[sd], f.aggDownPort[sd][f.dcPosInSite[dd]])
-		push(f.dcrs[dd], f.dcrDownPort[dd][post])
-		push(f.fcs[dd][post], f.fcDownPort[dd][post][f.clPosInDC[cd]])
-		push(f.csws[cd][post], f.cswDownPort[cd][post][f.rackPosInCl[rd]])
-		push(f.rsws[rd], f.hostPort[dst.ID])
+	case ds == dd:
+		hops = []hop{
+			{f.rsws[rs], f.rswUpPort[rs][post]},
+			{f.csws[cs][post], f.cswUpPort[cs][post]},
+			{f.fcs[ds][post], f.fcDownPort[ds][post][f.clPosInDC[cd]]},
+			{f.csws[cd][post], f.cswDownPort[cd][post][f.rackPosInCl[rd]]},
+			{f.rsws[rd], f.hostPort[dst.ID]},
+		}
+	default:
+		n := 9
+		if ss != sd {
+			n = 11
+		}
+		hops = make([]hop, 0, n)
+		hops = append(hops,
+			hop{f.rsws[rs], f.rswUpPort[rs][post]},
+			hop{f.csws[cs][post], f.cswUpPort[cs][post]},
+			hop{f.fcs[ds][post], f.fcUpPort[ds][post]},
+			hop{f.dcrs[ds], f.dcrUpPort[ds]})
+		if ss != sd {
+			hops = append(hops,
+				hop{f.aggs[ss], f.aggUpPort[ss]},
+				hop{f.bb, f.bbDownPort[sd]})
+		}
+		hops = append(hops,
+			hop{f.aggs[sd], f.aggDownPort[sd][f.dcPosInSite[dd]]},
+			hop{f.dcrs[dd], f.dcrDownPort[dd][post]},
+			hop{f.fcs[dd][post], f.fcDownPort[dd][post][f.clPosInDC[cd]]},
+			hop{f.csws[cd][post], f.cswDownPort[cd][post][f.rackPosInCl[rd]]},
+			hop{f.rsws[rd], f.hostPort[dst.ID]})
 	}
 
 	first := hops[0]

@@ -351,3 +351,163 @@ func TestSinkDelayAccounting(t *testing.T) {
 		t.Fatal("max below mean")
 	}
 }
+
+// hopPairs finds one (src, dst) pair per fabric path length: intra-rack
+// (1 hop), intra-cluster (3), intra-datacenter (5), inter-datacenter in
+// one site (9) and across sites (11).
+func hopPairs(t testing.TB, topo *topology.Topology) map[int][2]topology.HostID {
+	t.Helper()
+	hops := func(a, b topology.Host) int {
+		switch {
+		case a.Rack == b.Rack:
+			return 1
+		case a.Cluster == b.Cluster:
+			return 3
+		case a.Datacenter == b.Datacenter:
+			return 5
+		case a.Site == b.Site:
+			return 9
+		}
+		return 11
+	}
+	out := map[int][2]topology.HostID{}
+	src := topology.HostID(0)
+	for j := 1; j < topo.NumHosts() && len(out) < 5; j++ {
+		dst := topology.HostID(j)
+		n := hops(topo.Host(src), topo.Host(dst))
+		if _, ok := out[n]; !ok {
+			out[n] = [2]topology.HostID{src, dst}
+		}
+	}
+	if len(out) != 5 {
+		t.Fatalf("found path lengths %v, want 1/3/5/9/11", out)
+	}
+	return out
+}
+
+// pairWindow is k paced streams of n packets each from src to dst, one
+// flow per stream, starting together so the merge sees ties.
+func pairWindow(topo *topology.Topology, src, dst topology.HostID, k, n int) [][]packet.Header {
+	streams := make([][]packet.Header, k)
+	for s := range streams {
+		for i := 0; i < n; i++ {
+			streams[s] = append(streams[s], packet.Header{
+				Time: Time(i) * 20 * Microsecond,
+				Key: packet.FlowKey{
+					Src: topo.Addr(src), Dst: topo.Addr(dst),
+					SrcPort: uint16(1000 + s), DstPort: 80, Proto: packet.TCP,
+				},
+				Size: 1000,
+			})
+		}
+	}
+	return streams
+}
+
+// TestReplayAllocsPerPacket pins the replay path's allocations: a
+// pre-built window replayed through a fabric costs at most the Packet and
+// its hop list per injected packet, whatever the hop count — no heap
+// entry growth, closure or merge state per packet.
+func TestReplayAllocsPerPacket(t *testing.T) {
+	topo := topology.MustBuild(topology.Preset(topology.ScaleTiny))
+	for hops, pair := range hopPairs(t, topo) {
+		const k, n = 4, 64
+		streams := pairWindow(topo, pair[0], pair[1], k, n)
+		eng := &Engine{}
+		f := NewFabric(eng, topo, DefaultFabricConfig())
+		inject := f.Inject
+		replay := func() {
+			eng.Replay(streams, eng.Now(), inject)
+			eng.Run(eng.Now() + Second)
+		}
+		replay() // size the engine heap and replay cursors
+		const runs = 10
+		allocs := testing.AllocsPerRun(runs, replay)
+		if per := allocs / (k * n); per > 2 {
+			t.Errorf("%d hops: %.2f allocs per replayed packet, want <= 2", hops, per)
+		}
+		// One sizing run, AllocsPerRun's warm-up, then the measured runs.
+		if got, want := f.Sink(pair[1]).Packets, int64((runs+2)*k*n); got != want {
+			t.Errorf("%d hops: delivered %d packets, want %d", hops, got, want)
+		}
+	}
+}
+
+// TestReplayHeapBoundedByInFlight: with arrivals in a replay source the
+// engine heap holds only events in flight, so doubling a window's length
+// (and packets) at the same rate leaves the heap high-water unchanged.
+func TestReplayHeapBoundedByInFlight(t *testing.T) {
+	topo := topology.MustBuild(topology.Preset(topology.ScaleTiny))
+	rack := &topo.Racks[0]
+	window := func(dur Time) [][]packet.Header {
+		streams := make([][]packet.Header, rack.NumHosts)
+		for i := range streams {
+			src := rack.Host(i)
+			for at, j := Time(0), 0; at < dur; at, j = at+20*Microsecond, j+1 {
+				dst := topology.HostID((int(src)*7 + j*13) % topo.NumHosts())
+				streams[i] = append(streams[i], packet.Header{
+					Time: at,
+					Key: packet.FlowKey{
+						Src: topo.Addr(src), Dst: topo.Addr(dst),
+						SrcPort: uint16(j), DstPort: 80, Proto: packet.TCP,
+					},
+					Size: 500,
+				})
+			}
+		}
+		return streams
+	}
+	measure := func(dur Time) (EngineStats, int) {
+		streams := window(dur)
+		n := 0
+		for _, st := range streams {
+			n += len(st)
+		}
+		eng := &Engine{}
+		f := NewFabric(eng, topo, DefaultFabricConfig())
+		eng.Replay(streams, 0, f.Inject)
+		eng.Run(dur + Second)
+		return eng.Stats(), n
+	}
+	one, n1 := measure(100 * Millisecond)
+	two, n2 := measure(200 * Millisecond)
+	t.Logf("heap high-water %d for %d packets, %d for %d", one.HeapHigh, n1, two.HeapHigh, n2)
+	if one.Replayed != int64(n1) || two.Replayed != int64(n2) {
+		t.Fatalf("replayed %d/%d and %d/%d headers", one.Replayed, n1, two.Replayed, n2)
+	}
+	if one.Fired <= one.Replayed {
+		t.Fatalf("fired %d events for %d replayed headers: hop events missing", one.Fired, one.Replayed)
+	}
+	if one.HeapHigh*10 > int64(n1) {
+		t.Errorf("heap high-water %d for a %d-packet window: arrivals are queued in the heap", one.HeapHigh, n1)
+	}
+	if two.HeapHigh > one.HeapHigh*5/4 {
+		t.Errorf("heap high-water grew from %d to %d when the window doubled (%d -> %d packets)",
+			one.HeapHigh, two.HeapHigh, n1, n2)
+	}
+}
+
+// BenchmarkReplayWindow measures the replay path per injected packet: a
+// pre-built 8-stream window of mixed localities replayed through a fabric
+// and drained.
+func BenchmarkReplayWindow(b *testing.B) {
+	topo := topology.MustBuild(topology.Preset(topology.ScaleTiny))
+	var streams [][]packet.Header
+	for _, pair := range hopPairs(b, topo) {
+		streams = append(streams, pairWindow(topo, pair[0], pair[1], 2, 512)...)
+	}
+	pkts := 0
+	for _, st := range streams {
+		pkts += len(st)
+	}
+	eng := &Engine{}
+	f := NewFabric(eng, topo, DefaultFabricConfig())
+	inject := f.Inject
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		eng.Replay(streams, eng.Now(), inject)
+		eng.Run(eng.Now() + Second)
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*pkts), "ns/pkt")
+}

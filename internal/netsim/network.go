@@ -21,6 +21,24 @@ type Packet struct {
 	Rec *telemetry.PathRecord
 	// hops is the remaining sequence of (node, egress port) steps.
 	hops []hop
+
+	// The packet is its own engine event: at most one departure or
+	// arrival is pending at a time. sw and egress are the switch and
+	// port it is queued on; wire is set once it has left them.
+	sw     *Switch
+	egress *Port
+	wire   bool
+}
+
+// fire implements the engine event: departure from the queued egress,
+// then arrival at that port's peer.
+func (p *Packet) fire() {
+	if !p.wire {
+		p.sw.depart(p)
+		return
+	}
+	pt := p.egress
+	deliver(pt.Peer, p, pt.PeerPort)
 }
 
 type hop struct {
@@ -248,28 +266,34 @@ func (s *Switch) Receive(p *Packet, port int) {
 	s.enqueues++
 	depart := start + pt.Link.TxTime(p.Hdr.Size)
 	pt.busyUntil = depart
-	s.eng.At(depart, func() {
-		s.used -= size
-		pt.queued -= size
-		// A fault that fired while the packet sat in the queue loses it
-		// at its departure instant: the buffer is released but nothing
-		// goes on the wire.
-		if s.down || pt.down {
-			if p.Rec != nil {
-				reason := s.faultReason()
-				p.Rec.FailLastHop(reason)
-				s.telem.Finish(p.Rec, reason, int64(s.eng.Now()))
-				p.Rec = nil
-			}
-			s.faultDrop(p)
-			return
+	p.sw, p.egress, p.wire = s, pt, false
+	s.eng.schedule(depart, p)
+}
+
+// depart releases p's buffer at its departure instant and puts it on the
+// wire toward the egress port's peer.
+func (s *Switch) depart(p *Packet) {
+	pt := p.egress
+	size := int64(p.Hdr.Size)
+	s.used -= size
+	pt.queued -= size
+	// A fault that fired while the packet sat in the queue loses it at
+	// its departure instant: the buffer is released but nothing goes on
+	// the wire.
+	if s.down || pt.down {
+		if p.Rec != nil {
+			reason := s.faultReason()
+			p.Rec.FailLastHop(reason)
+			s.telem.Finish(p.Rec, reason, int64(s.eng.Now()))
+			p.Rec = nil
 		}
-		pt.forwarded++
-		pt.Link.bytesTx += size
-		peer, nextPort := pt.Peer, pt.PeerPort
-		arrive := depart + pt.Link.Delay
-		s.eng.At(arrive, func() { deliver(peer, p, nextPort) })
-	})
+		s.faultDrop(p)
+		return
+	}
+	pt.forwarded++
+	pt.Link.bytesTx += size
+	p.wire = true
+	s.eng.schedule(s.eng.Now()+pt.Link.Delay, p)
 }
 
 // deliver advances a packet along its precomputed hop list if it has one,

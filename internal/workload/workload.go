@@ -38,6 +38,18 @@ type BatchCollector interface {
 	Packets(hs []packet.Header)
 }
 
+// Stream records one generator's headers in emission order, a slab at a
+// time. Gen stamps emissions monotonically, so a recorded Stream is
+// non-decreasing in Time: the per-host input netsim.Engine.Replay
+// merges.
+type Stream []packet.Header
+
+// Packet implements Collector.
+func (s *Stream) Packet(h packet.Header) { *s = append(*s, h) }
+
+// Packets implements BatchCollector.
+func (s *Stream) Packets(hs []packet.Header) { *s = append(*s, hs...) }
+
 // Batch is a reusable, capacity-stable header slab. The zero value is
 // ready to use; the first Grow sets its capacity, and Reset keeps the
 // backing array so steady-state refills never allocate.
