@@ -224,6 +224,14 @@ type Topology struct {
 	roleCum        [numRoles][]int32
 	roleClusterOff [numRoles][]int32
 	roleDCOff      [numRoles][]int32
+
+	// roleDir[r] is a rack directory over role r's host order: entry k
+	// is the index j into roleRacks[r] of the rack holding position
+	// k<<roleShift[r]. 2^roleShift[r] is at most the role's smallest
+	// rack, so a directory block spans at most two racks and any
+	// position's rack is its block's entry or the one after it.
+	roleDir   [numRoles][]int32
+	roleShift [numRoles]uint8
 }
 
 // NumHosts returns the fleet size.
@@ -295,9 +303,8 @@ func (t *Topology) Locality(src, dst HostID) Locality {
 
 // HostSet is a read-only view of a contiguous range of one role's host
 // order — the columnar replacement for materialized []HostID peer sets.
-// Indexing costs a binary search over the role's rack prefix sums
-// (O(log racks-of-role)); the set itself is four words regardless of
-// member count.
+// Indexing is O(1): one rack-directory load and at most one step to the
+// next rack; the set itself is four words regardless of member count.
 type HostSet struct {
 	t     *Topology
 	role  Role
@@ -310,18 +317,14 @@ func (s HostSet) Len() int { return int(s.n) }
 
 // At returns the i-th host of the set.
 func (s HostSet) At(i int) HostID {
+	t := s.t
 	pos := s.start + int32(i)
-	cum := s.t.roleCum[s.role]
-	lo, hi := 0, len(cum)-1 // invariant: cum[lo] <= pos < cum[hi]
-	for hi-lo > 1 {
-		mid := int(uint(lo+hi) >> 1)
-		if cum[mid] <= pos {
-			lo = mid
-		} else {
-			hi = mid
-		}
+	cum := t.roleCum[s.role]
+	j := t.roleDir[s.role][pos>>t.roleShift[s.role]]
+	if pos >= cum[j+1] {
+		j++
 	}
-	return s.t.Racks[s.t.roleRacks[s.role][lo]].FirstHost + HostID(pos-cum[lo])
+	return t.Racks[t.roleRacks[s.role][j]].FirstHost + HostID(pos-cum[j])
 }
 
 // Slice returns the subset covering positions [lo, hi) of the set.
@@ -571,6 +574,7 @@ func (t *Topology) buildRoleIndex() {
 			cum[j+1] = cum[j] + t.Racks[rid].NumHosts
 		}
 		t.roleCum[role] = cum
+		t.roleShift[role], t.roleDir[role] = rackDirectory(cum)
 
 		cOff := make([]int32, len(t.Clusters)+1)
 		j := 0
@@ -594,6 +598,34 @@ func (t *Topology) buildRoleIndex() {
 		dOff[len(t.Datacenters)] = int32(len(rr))
 		t.roleDCOff[role] = dOff
 	}
+}
+
+// rackDirectory builds one role's rack directory from its prefix sums
+// (see Topology.roleDir): the shift is the largest with 2^shift no
+// greater than the smallest rack, and entry k names the rack holding
+// position k<<shift.
+func rackDirectory(cum []int32) (uint8, []int32) {
+	if len(cum) < 2 {
+		return 0, nil
+	}
+	smallest := cum[1] - cum[0]
+	for j := 2; j < len(cum); j++ {
+		smallest = min(smallest, cum[j]-cum[j-1])
+	}
+	var shift uint8
+	for int32(2)<<shift <= smallest {
+		shift++
+	}
+	total := cum[len(cum)-1]
+	dir := make([]int32, (total-1)>>shift+1)
+	j := int32(0)
+	for k := range dir {
+		for cum[j+1] <= int32(k)<<shift {
+			j++
+		}
+		dir[k] = j
+	}
+	return shift, dir
 }
 
 // MustBuild is Build that panics on error, for fixed internal configs.

@@ -5,6 +5,7 @@ import (
 	"testing/quick"
 
 	"fbdcnet/internal/packet"
+	"fbdcnet/internal/rng"
 )
 
 func tiny(t *testing.T) *Topology {
@@ -277,12 +278,49 @@ func refBuild(top *Topology) []refHost {
 	return hosts
 }
 
+// mixedRackConfig is a hand-built fleet whose clusters differ in rack
+// size, down to 1-host racks. Several roles span clusters of different
+// rack sizes: Hadoop (1, 3 and 32 hosts), Multifeed (5-host Frontend
+// racks and 1- and 7-host Service racks) and Misc (1 and 7).
+func mixedRackConfig() Config {
+	return Config{Sites: []SiteSpec{
+		{Datacenters: []DatacenterSpec{
+			{Clusters: []ClusterSpec{
+				{Type: ClusterHadoop, Racks: 3, HostsPerRack: 1},
+				{Type: ClusterFrontend, Racks: 40, HostsPerRack: 5},
+				{Type: ClusterService, Racks: 5, HostsPerRack: 7},
+			}},
+			{Clusters: []ClusterSpec{
+				{Type: ClusterHadoop, Racks: 4, HostsPerRack: 32},
+				{Type: ClusterService, Racks: 6, HostsPerRack: 1},
+				{Type: ClusterCache, Racks: 2, HostsPerRack: 2},
+			}},
+		}},
+		{Datacenters: []DatacenterSpec{
+			{Clusters: []ClusterSpec{
+				{Type: ClusterHadoop, Racks: 5, HostsPerRack: 3},
+				{Type: ClusterFrontend, Racks: 8, HostsPerRack: 9},
+				{Type: ClusterCache, Racks: 3, HostsPerRack: 17},
+				{Type: ClusterDB, Racks: 1, HostsPerRack: 1},
+			}},
+		}},
+	}}
+}
+
 // TestColumnarMatchesReferenceAoS is the property test of the columnar
 // refactor: every SoA accessor and role set must agree host-for-host
-// with a reference array-of-structs build on the tiny and small presets.
+// with a reference array-of-structs build on the tiny and small presets
+// and on a fleet with racks of mixed size.
 func TestColumnarMatchesReferenceAoS(t *testing.T) {
-	for _, sc := range []Scale{ScaleTiny, ScaleSmall} {
-		top := MustBuild(Preset(sc))
+	for _, tc := range []struct {
+		sc  string
+		cfg Config
+	}{
+		{"tiny", Preset(ScaleTiny)},
+		{"small", Preset(ScaleSmall)},
+		{"mixed-racks", mixedRackConfig()},
+	} {
+		sc, top := tc.sc, MustBuild(tc.cfg)
 		ref := refBuild(top)
 		if len(ref) != top.NumHosts() {
 			t.Fatalf("%v: reference has %d hosts, topology %d", sc, len(ref), top.NumHosts())
@@ -342,7 +380,7 @@ func TestColumnarMatchesReferenceAoS(t *testing.T) {
 	}
 }
 
-func checkSet(t *testing.T, sc Scale, role Role, scope string, set HostSet, want []HostID) {
+func checkSet(t *testing.T, sc string, role Role, scope string, set HostSet, want []HostID) {
 	t.Helper()
 	if set.Len() != len(want) {
 		t.Fatalf("%v %v %s set: %d hosts, want %d", sc, role, scope, set.Len(), len(want))
@@ -354,5 +392,24 @@ func checkSet(t *testing.T, sc Scale, role Role, scope string, set HostSet, want
 	}
 	if got := set.AppendTo(nil); len(got) != len(want) {
 		t.Fatalf("%v %v %s AppendTo: %d hosts, want %d", sc, role, scope, len(got), len(want))
+	}
+}
+
+var sinkHost HostID
+
+// BenchmarkHostSetAt measures one HostSet.At at the large preset, over
+// random positions of the fleet-wide Web set (the largest role).
+func BenchmarkHostSetAt(b *testing.B) {
+	top := MustBuild(Preset(ScaleLarge))
+	set := top.RoleSet(RoleWeb)
+	r := rng.New(1)
+	pos := make([]int, 1<<16)
+	for i := range pos {
+		pos[i] = r.Intn(set.Len())
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		sinkHost = set.At(pos[i&(len(pos)-1)])
 	}
 }
