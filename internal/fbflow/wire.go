@@ -50,8 +50,10 @@ func appendTable(buf []byte, t *openhash.Table[float64]) []byte {
 }
 
 // decodeTable fills t (already Reset) from the front of data and returns
-// the remainder.
-func decodeTable(data []byte, t *openhash.Table[float64], name string) ([]byte, error) {
+// the remainder. For a pair table every key must unpack to a pair in
+// range: MergePartial grows the rack-pair matrix to the largest source
+// rack it sees.
+func decodeTable(data []byte, t *openhash.Table[float64], name string, pair bool) ([]byte, error) {
 	if len(data) < 4 {
 		return nil, fmt.Errorf("fbflow: partial wire: %s count truncated", name)
 	}
@@ -68,6 +70,9 @@ func decodeTable(data []byte, t *openhash.Table[float64], name string) ([]byte, 
 		k := binary.LittleEndian.Uint64(data)
 		if k == ^uint64(0) {
 			return nil, fmt.Errorf("fbflow: partial wire: %s entry %d uses the reserved sentinel key", name, i)
+		}
+		if pair && !pairInRange(unpackPair(k)) {
+			return nil, fmt.Errorf("fbflow: partial wire: %s entry %d key %#x out of range", name, i, k)
 		}
 		v := math.Float64frombits(binary.LittleEndian.Uint64(data[8:]))
 		before := t.Len()
@@ -150,15 +155,16 @@ func (p *Partial) DecodeBinary(data []byte) error {
 	for _, tb := range []struct {
 		t    *openhash.Table[float64]
 		name string
+		pair bool
 	}{
-		{&p.rackPair, "rackPair"},
-		{&p.clusterPair, "clusterPair"},
-		{&p.perMinute, "perMinute"},
-		{&p.hostOut, "hostOut"},
-		{&p.rackCross, "rackCross"},
-		{&p.clusterCross, "clusterCross"},
+		{&p.rackPair, "rackPair", true},
+		{&p.clusterPair, "clusterPair", true},
+		{&p.perMinute, "perMinute", false},
+		{&p.hostOut, "hostOut", false},
+		{&p.rackCross, "rackCross", false},
+		{&p.clusterCross, "clusterCross", false},
 	} {
-		if data, err = decodeTable(data, tb.t, tb.name); err != nil {
+		if data, err = decodeTable(data, tb.t, tb.name, tb.pair); err != nil {
 			return err
 		}
 	}

@@ -124,6 +124,34 @@ func TestPartialWireErrors(t *testing.T) {
 	if err := into.DecodeBinary(bad); err == nil {
 		t.Fatalf("unknown flags decoded cleanly")
 	}
+
+	// A pair key outside [0, maxPairIndex) on either half must be rejected
+	// at decode: merging a rack-pair source of 0xfffffffe would grow the
+	// dataset's row table to billions of slots.
+	for _, k := range []uint64{
+		0xfffffffe << 32,
+		maxPairIndex << 32,
+		maxPairIndex,
+		0xffffffff,
+	} {
+		for _, table := range []string{"rackPair", "clusterPair"} {
+			q := NewPartial()
+			fillPartial(t, q, 5, 64)
+			if table == "rackPair" {
+				*q.rackPair.Slot(k) = 1
+			} else {
+				*q.clusterPair.Slot(k) = 1
+			}
+			if err := into.DecodeBinary(q.AppendBinary(nil)); err == nil {
+				t.Fatalf("%s key %#x decoded cleanly", table, k)
+			}
+		}
+	}
+	edge := NewPartial()
+	*edge.rackPair.Slot(packPair(maxPairIndex-1, maxPairIndex-1)) = 1
+	if err := into.DecodeBinary(edge.AppendBinary(nil)); err != nil {
+		t.Fatalf("largest in-range rack pair rejected: %v", err)
+	}
 }
 
 func TestPartialWireSteadyStateAllocs(t *testing.T) {
