@@ -13,6 +13,8 @@ import (
 	"fmt"
 	"math"
 	"runtime"
+	"slices"
+	"strings"
 	"sync"
 
 	"fbdcnet/internal/analysis"
@@ -239,8 +241,12 @@ type bundleSlot struct {
 }
 
 // NewSystem builds the topology and validates that the service models can
-// run on it.
+// run on it. It rejects an unknown FaultScenario up front, before any
+// experiment work.
 func NewSystem(cfg Config) (*System, error) {
+	if sc := netsim.FaultScenarios(); cfg.FaultScenario != "" && !slices.Contains(sc, cfg.FaultScenario) {
+		return nil, fmt.Errorf("core: unknown fault scenario %q (have %s)", cfg.FaultScenario, strings.Join(sc, "|"))
+	}
 	topo, err := topology.Build(topology.Preset(cfg.Scale))
 	if err != nil {
 		return nil, err

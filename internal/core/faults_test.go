@@ -1,11 +1,28 @@
 package core
 
 import (
+	"strings"
 	"testing"
 
 	"fbdcnet/internal/netsim"
 	"fbdcnet/internal/topology"
 )
+
+// TestNewSystemRejectsUnknownFaultScenario: a misspelled scenario fails
+// at construction, before any experiment (or serve loop) runs.
+func TestNewSystemRejectsUnknownFaultScenario(t *testing.T) {
+	cfg := QuickConfig()
+	cfg.FaultScenario = "bogus"
+	if _, err := NewSystem(cfg); err == nil || !strings.Contains(err.Error(), "unknown fault scenario") {
+		t.Fatalf("NewSystem with scenario %q: err %v", cfg.FaultScenario, err)
+	}
+	for _, sc := range append(netsim.FaultScenarios(), "") {
+		cfg.FaultScenario = sc
+		if _, err := NewSystem(cfg); err != nil {
+			t.Errorf("NewSystem with scenario %q: %v", sc, err)
+		}
+	}
+}
 
 // TestDegradedCSWDownAcceptance pins the headline survivability claim:
 // with one of the four CSW posts down for most of the run, ECMP
